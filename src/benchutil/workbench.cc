@@ -104,9 +104,10 @@ Status SaveWorkbench(const Workbench& bench, const WorkbenchOptions& options,
     WriteString(&out, entry.name);
     // VAE parameters: serialize via a temporary Sequential-like wrapper.
     // The Vae exposes Params() directly, so write them inline.
-    std::vector<nn::Parameter*> vae_params = entry.profile->vae()->Params();
+    std::vector<const nn::Parameter*> vae_params =
+        entry.profile->vae()->Params();
     WritePod<uint64_t>(&out, vae_params.size());
-    for (nn::Parameter* p : vae_params) {
+    for (const nn::Parameter* p : vae_params) {
       std::vector<float> values(p->value.data(),
                                 p->value.data() + p->value.size());
       WriteFloats(&out, values);

@@ -23,10 +23,9 @@ std::vector<int> Msbi::Round(const std::vector<tensor::Tensor>& window,
                              const std::vector<int>& candidates, double r,
                              int* invocations) const {
   // Candidates are independent: each runs its own seeded DriftInspector
-  // over its own profile (distinct VAE/state per model, so concurrent
-  // Observe calls never share mutable layer caches). Per-candidate
-  // verdicts land in fixed slots and fold in candidate order below, so
-  // survivors and invocation counts match the serial sweep exactly.
+  // over its own profile. Per-candidate verdicts land in fixed slots and
+  // fold in candidate order below, so survivors and invocation counts
+  // match the serial sweep exactly.
   struct CandidateResult {
     bool drift = false;
     int invocations = 0;

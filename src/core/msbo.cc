@@ -124,9 +124,8 @@ Result<Selection> Msbo::Select(const std::vector<LabeledFrame>& window) const {
 
   Selection selection;
   selection.frames_examined = limit;
-  // Candidate models score independently (each ensemble owns its model
-  // state); the argmin folds in registry order afterwards, so the winner
-  // and tie-breaks match the serial sweep.
+  // Candidate models score independently; the argmin folds in registry
+  // order afterwards, so the winner and tie-breaks match the serial sweep.
   std::vector<double> briers(static_cast<size_t>(registry_->size()), 0.0);
   runtime::ParallelFor(
       0, registry_->size(), 1, [&](int64_t begin, int64_t end) {

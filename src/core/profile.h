@@ -61,8 +61,8 @@ class DistributionProfile {
   const std::string& name() const { return name_; }
   /// The reference sample with precomputed scores.
   const PointSet& sigma() const { return sigma_; }
-  /// The VAE (non-const: encoding runs Forward on cached buffers).
-  vae::Vae* vae() const { return vae_.get(); }
+  /// The VAE (read-only: encoding is const).
+  const vae::Vae* vae() const { return vae_.get(); }
 
   /// Encodes a frame to its deterministic scoring embedding: posterior
   /// mean plus weighted global statistics. Used by the ODIN baseline's
@@ -76,18 +76,13 @@ class DistributionProfile {
   std::vector<float> EncodeSampled(const tensor::Tensor& pixels,
                                    stats::Rng* rng) const;
 
-  /// Deep copy: clones the VAE (same weights, fresh caches) and copies the
-  /// point set and statistics, so the clone can score frames on another
-  /// thread while this instance keeps serving its own stream.
-  std::unique_ptr<DistributionProfile> Clone() const;
-
  private:
   // Appends weighted global statistics to a latent vector.
   std::vector<float> Augment(std::vector<float> latent,
                              const tensor::Tensor& pixels) const;
 
   std::string name_;
-  std::shared_ptr<vae::Vae> vae_;
+  std::shared_ptr<const vae::Vae> vae_;
   PointSet sigma_;
   double stats_weight_ = 0.0;
   std::vector<float> stats_mean_;

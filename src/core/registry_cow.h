@@ -12,17 +12,11 @@
 
 namespace vdrift::select {
 
-/// \brief Deep-copies a registry entry: profile (VAE + point set),
-/// ensemble members, and query models, sharing no mutable state with the
-/// source.
+/// \brief A copy of a registry entry that shares its models.
 ///
-/// NN layers cache forward activations, so two threads must never execute
-/// the same model object — every consumer of a shared/published entry
-/// clones it first. Aliasing inside the entry is preserved: when the count
-/// or predicate model is one of the ensemble's members (the provisioning
-/// path deploys member 0 as the count model), the clone aliases its own
-/// cloned member the same way. kUnimplemented when any contained model
-/// does not support cloning (e.g. a test stub).
+/// Models are immutable at serving time (inference is const), so the copy
+/// aliases the source's profile, ensemble and query models. Never fails;
+/// the Result return is kept for callers that chain it.
 Result<ModelEntry> CloneModelEntry(const ModelEntry& entry);
 
 /// \brief One model published into the fleet-shared registry: the entry
@@ -44,10 +38,8 @@ struct PublishedModel {
 /// state. Publication order is append order, so every consumer that
 /// iterates a snapshot adopts models in the same deterministic order.
 ///
-/// Entries stored here are never executed directly (models cache forward
-/// state and are not thread-safe); consumers CloneModelEntry what they
-/// adopt. Publish deep-copies the caller's entry for the same reason, so
-/// the caller keeps exclusive use of its own instance.
+/// Entries are stored as given: the registry shares the caller's model
+/// objects, and every shard that adopts an entry runs those same objects.
 class CowModelRegistry {
  public:
   CowModelRegistry() : models_(std::make_shared<Models>()) {}
@@ -62,12 +54,12 @@ class CowModelRegistry {
   /// publications do not mutate it.
   Snapshot TakeSnapshot() const;
 
-  /// Deep-copies `entry` and appends it with its calibration sample.
+  /// Appends `entry` (sharing its models) with its calibration sample.
   /// First-writer-wins by name: returns false (and publishes nothing) when
-  /// a model of the same name is already published. kUnimplemented when
-  /// the entry cannot be cloned.
-  Result<bool> Publish(const ModelEntry& entry,
-                       const std::vector<LabeledFrame>& calibration_sample);
+  /// a model of the same name is already published.
+  [[nodiscard]] bool Publish(
+      const ModelEntry& entry,
+      const std::vector<LabeledFrame>& calibration_sample);
 
   /// Index of the published model with this name in the current snapshot,
   /// or -1.

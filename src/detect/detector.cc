@@ -48,12 +48,12 @@ Status SimulatedDetector::Train(const std::vector<video::Frame>& frames,
   return Status::OK();
 }
 
-int SimulatedDetector::PredictCount(const tensor::Tensor& pixels) {
+int SimulatedDetector::PredictCount(const tensor::Tensor& pixels) const {
   obs::Global().GetCounter("vdrift.detect.invocations").Increment();
   return count_head_.Predict(pixels);
 }
 
-bool SimulatedDetector::PredictPredicate(const tensor::Tensor& pixels) {
+bool SimulatedDetector::PredictPredicate(const tensor::Tensor& pixels) const {
   obs::Global().GetCounter("vdrift.detect.invocations").Increment();
   return predicate_head_.Predict(pixels) == 1;
 }

@@ -36,10 +36,10 @@ class SimulatedDetector {
                const ClassifierTrainConfig& train_config, stats::Rng* rng);
 
   /// Predicted car-count class for a frame.
-  int PredictCount(const tensor::Tensor& pixels);
+  int PredictCount(const tensor::Tensor& pixels) const;
 
   /// Predicted truth value of the "bus left of car" predicate.
-  bool PredictPredicate(const tensor::Tensor& pixels);
+  bool PredictPredicate(const tensor::Tensor& pixels) const;
 
   int count_classes() const { return config_.count_classes; }
 

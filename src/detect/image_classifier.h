@@ -1,12 +1,10 @@
 #ifndef VDRIFT_DETECT_IMAGE_CLASSIFIER_H_
 #define VDRIFT_DETECT_IMAGE_CLASSIFIER_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
 #include "nn/classifier.h"
-#include "nn/dropout.h"
 #include "nn/sequential.h"
 #include "stats/rng.h"
 #include "tensor/tensor.h"
@@ -38,6 +36,10 @@ struct ClassifierTrainConfig {
 };
 
 /// \brief A small CNN classifier over frames.
+///
+/// Inference is const and records nothing, so one trained instance can be
+/// shared by every stream and thread; only Train and MC-dropout passes
+/// (which own their tapes and advance the dropout RNG) mutate it.
 class ImageClassifier : public nn::ProbabilisticClassifier {
  public:
   ImageClassifier(const ClassifierConfig& config, stats::Rng* rng);
@@ -54,13 +56,9 @@ class ImageClassifier : public nn::ProbabilisticClassifier {
                                     const ClassifierTrainConfig& train_config,
                                     stats::Rng* rng);
 
-  std::vector<float> PredictProba(const tensor::Tensor& frame) override;
-  int Predict(const tensor::Tensor& frame) override;
+  std::vector<float> PredictProba(const tensor::Tensor& frame) const override;
+  int Predict(const tensor::Tensor& frame) const override;
   int num_classes() const override { return config_.num_classes; }
-
-  /// Deep copy: same architecture and parameters, fresh forward-pass
-  /// caches and dropout RNG — safe to run on another thread.
-  std::shared_ptr<nn::ProbabilisticClassifier> Clone() const override;
 
   /// Monte-Carlo-dropout predictive distribution: averages `passes`
   /// stochastic forward passes with dropout active. Requires
@@ -69,25 +67,21 @@ class ImageClassifier : public nn::ProbabilisticClassifier {
                                            int passes);
 
   /// Batched logits for evaluation ([N, K]).
-  tensor::Tensor ForwardBatch(const tensor::Tensor& batch);
+  tensor::Tensor ForwardBatch(const tensor::Tensor& batch) const;
 
   /// Fraction of frames whose argmax prediction matches the label.
   double Accuracy(const std::vector<tensor::Tensor>& frames,
-                  const std::vector<int>& labels);
+                  const std::vector<int>& labels) const;
 
   const ClassifierConfig& config() const { return config_; }
   /// The underlying network (for parameter copying in tests).
   nn::Sequential* net() { return &net_; }
 
  private:
-  // Toggles train/eval mode on any dropout layers.
-  void SetDropoutTraining(bool training);
-
   ClassifierConfig config_;
   nn::Sequential net_;
-  nn::Dropout* dropout_ = nullptr;  // owned by net_
-  // Heap-held so the Dropout layer's pointer to it survives moves.
-  std::unique_ptr<stats::Rng> dropout_rng_;
+  // Dropout masks of training and MC-dropout passes (via their tapes).
+  stats::Rng dropout_rng_;
 };
 
 }  // namespace vdrift::detect

@@ -5,36 +5,36 @@
 
 namespace vdrift::nn {
 
-Dropout::Dropout(double rate, stats::Rng* rng) : rate_(rate), rng_(rng) {
+Dropout::Dropout(double rate) : rate_(rate) {
   // vdrift-lint: allow(no-data-dependent-check): ctor config contract
   VDRIFT_CHECK(rate >= 0.0 && rate < 1.0) << "dropout rate must be in [0,1)";
-  // vdrift-lint: allow(no-data-dependent-check): null-wiring bug, not data
-  VDRIFT_CHECK(rng_ != nullptr);
 }
 
-tensor::Tensor Dropout::Forward(const tensor::Tensor& input) {
-  if (!training_ || rate_ == 0.0) {
-    mask_ = tensor::Tensor();
-    return input;
-  }
+tensor::Tensor Dropout::Forward(const tensor::Tensor& input,
+                                Tape* tape) const {
+  if (tape == nullptr || rate_ == 0.0) return input;
+  // vdrift-lint: allow(no-data-dependent-check): null-wiring bug, not data
+  VDRIFT_CHECK(tape->rng != nullptr) << "dropout needs a tape with an RNG";
   tensor::Tensor out = input;
-  mask_ = tensor::Tensor(input.shape());
+  tensor::Tensor mask(input.shape());
   float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
   for (int64_t i = 0; i < out.size(); ++i) {
-    if (rng_->NextDouble() < rate_) {
-      mask_[i] = 0.0f;
+    if (tape->rng->NextDouble() < rate_) {
+      mask[i] = 0.0f;
       out[i] = 0.0f;
     } else {
-      mask_[i] = keep_scale;
+      mask[i] = keep_scale;
       out[i] *= keep_scale;
     }
   }
+  tape->tensors = {std::move(mask)};
   return out;
 }
 
-tensor::Tensor Dropout::Backward(const tensor::Tensor& grad_output) {
-  if (mask_.empty()) return grad_output;
-  return tensor::Mul(grad_output, mask_);
+tensor::Tensor Dropout::Backward(const tensor::Tensor& grad_output,
+                                 const Tape& tape) {
+  if (tape.tensors.empty()) return grad_output;
+  return tensor::Mul(grad_output, tape.tensors[0]);
 }
 
 }  // namespace vdrift::nn

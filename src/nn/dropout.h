@@ -4,39 +4,34 @@
 #include <string>
 
 #include "nn/layer.h"
-#include "stats/rng.h"
 #include "tensor/tensor.h"
 
 namespace vdrift::nn {
 
 /// \brief Inverted dropout.
 ///
-/// During training each activation is zeroed with probability `rate` and
-/// survivors are scaled by 1/(1-rate); in eval mode the layer is the
+/// When a tape is passed (training, or a Monte-Carlo-dropout pass) each
+/// activation is zeroed with probability `rate` and survivors are scaled
+/// by 1/(1-rate); the mask draws from the tape's RNG and is kept on the
+/// tape for Backward. Without a tape (inference) the layer is the
 /// identity. Provided both as a regulariser and as the substrate for
 /// Monte-Carlo-dropout uncertainty — the Bayesian-approximation
 /// alternative the paper's related work cites ([18] Gal & Ghahramani)
 /// before arguing for deep ensembles.
 class Dropout : public Layer {
  public:
-  /// `rng` must outlive the layer.
-  Dropout(double rate, stats::Rng* rng);
+  explicit Dropout(double rate);
 
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::string name() const override { return "Dropout"; }
 
-  /// Training mode samples a fresh mask per Forward; eval mode is the
-  /// identity. Keep training mode on at inference time for MC dropout.
-  void set_training(bool training) { training_ = training; }
-  bool training() const { return training_; }
   double rate() const { return rate_; }
 
  private:
   double rate_;
-  stats::Rng* rng_;
-  bool training_ = true;
-  tensor::Tensor mask_;
 };
 
 }  // namespace vdrift::nn

@@ -38,7 +38,7 @@ Linear::Linear(int in_features, int out_features, stats::Rng* rng)
   HeInit(&weight_.value, in_features, rng);
 }
 
-Tensor Linear::Forward(const Tensor& input) {
+Tensor Linear::Forward(const Tensor& input, Tape* tape) const {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(input.shape().ndim() == 2 &&
                input.shape().dim(1) == in_features_)
@@ -54,7 +54,7 @@ Tensor Linear::Forward(const Tensor& input) {
           (batch * in_features_ +
            static_cast<int64_t>(out_features_) * in_features_ +
            out_features_ + batch * out_features_));
-  cached_input_ = input;
+  if (tape != nullptr) tape->tensors = {input};
   Tensor out = tensor::MatmulTransposedB(input, weight_.value);
   int64_t n = out.shape().dim(0);
   float* po = out.data();
@@ -71,7 +71,7 @@ Tensor Linear::Forward(const Tensor& input) {
   return out;
 }
 
-Tensor Linear::Backward(const Tensor& grad_output) {
+Tensor Linear::Backward(const Tensor& grad_output, const Tape& tape) {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(grad_output.shape().ndim() == 2 &&
                grad_output.shape().dim(1) == out_features_);
@@ -85,7 +85,7 @@ Tensor Linear::Backward(const Tensor& grad_output) {
            2 * static_cast<int64_t>(out_features_) * in_features_ +
            out_features_));
   // dW += dY^T X ; db += column sums of dY ; dX = dY W.
-  Tensor dw = tensor::MatmulTransposedA(grad_output, cached_input_);
+  Tensor dw = tensor::MatmulTransposedA(grad_output, tape.tensors[0]);
   tensor::AddInPlace(&weight_.grad, dw);
   int64_t n = grad_output.shape().dim(0);
   const float* pdy = grad_output.data();
@@ -115,45 +115,46 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
   HeInit(&weight_.value, in_channels * kernel * kernel, rng);
 }
 
-Tensor Conv2d::Forward(const Tensor& input) {
+Tensor Conv2d::Forward(const Tensor& input, Tape* tape) const {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(input.shape().ndim() == 4 &&
                input.shape().dim(1) == in_channels_)
       << "Conv2d expects [N, " << in_channels_ << ", H, W], got "
       << input.shape().ToString();
   int64_t n = input.shape().dim(0);
-  in_h_ = static_cast<int>(input.shape().dim(2));
-  in_w_ = static_cast<int>(input.shape().dim(3));
-  out_h_ = ConvOutDim(in_h_, kernel_, stride_, pad_);
-  out_w_ = ConvOutDim(in_w_, kernel_, stride_, pad_);
+  const int in_h = static_cast<int>(input.shape().dim(2));
+  const int in_w = static_cast<int>(input.shape().dim(3));
+  const int out_h = ConvOutDim(in_h, kernel_, stride_, pad_);
+  const int out_w = ConvOutDim(in_w, kernel_, stride_, pad_);
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
-  VDRIFT_CHECK(out_h_ > 0 && out_w_ > 0);
-  int64_t out_plane = static_cast<int64_t>(out_h_) * out_w_;
+  VDRIFT_CHECK(out_h > 0 && out_w > 0);
+  const int64_t plane = static_cast<int64_t>(out_h) * out_w;
   int64_t patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
-  // Per sample: im2col GEMM (2 * out_c * patch * out_plane) + bias add.
+  // Per sample: im2col GEMM (2 * out_c * patch * plane) + bias add.
   VDRIFT_OP_PROBE(
       "nn", "conv2d_forward",
-      n * (2 * out_channels_ * patch * out_plane +
-           out_channels_ * out_plane),
+      n * (2 * out_channels_ * patch * plane + out_channels_ * plane),
       static_cast<int64_t>(sizeof(float)) *
           (input.size() + out_channels_ * patch + out_channels_ +
-           n * out_channels_ * out_plane));
-  cached_cols_.assign(static_cast<size_t>(n), Tensor());
-  Tensor out(Shape{n, out_channels_, out_h_, out_w_});
-  int64_t plane = static_cast<int64_t>(out_h_) * out_w_;
-  // Samples are independent: each writes its own output block and
-  // cached_cols_ slot (pre-sized above, so no container mutation races).
-  // Nested tensor-op parallelism runs inline inside a sample chunk.
+           n * out_channels_ * plane));
+  // The tape keeps each sample's im2col matrix plus the input shape.
+  if (tape != nullptr) {
+    tape->tensors.assign(static_cast<size_t>(n), Tensor());
+    tape->shape = input.shape();
+  }
+  Tensor out(Shape{n, out_channels_, out_h, out_w});
+  // Samples are independent: each writes its own output block and tape
+  // slot (pre-sized above, so no container mutation races). Nested
+  // tensor-op parallelism runs inline inside a sample chunk.
   ParallelFor(0, n, 1, [&](int64_t s_begin, int64_t s_end) {
     for (int64_t s = s_begin; s < s_end; ++s) {
       // View of sample s as [C, H, W].
-      Tensor sample(Shape{in_channels_, in_h_, in_w_});
+      Tensor sample(Shape{in_channels_, in_h, in_w});
       const float* src =
-          input.data() +
-          s * in_channels_ * static_cast<int64_t>(in_h_) * in_w_;
+          input.data() + s * in_channels_ * static_cast<int64_t>(in_h) * in_w;
       std::copy(src, src + sample.size(), sample.data());
       Tensor cols = tensor::Im2Col(sample, kernel_, kernel_, stride_, pad_,
-                                   out_h_, out_w_);
+                                   out_h, out_w);
       Tensor result = tensor::Matmul(weight_.value, cols);
       float* dst = out.data() + s * out_channels_ * plane;
       for (int64_t c = 0; c < out_channels_; ++c) {
@@ -162,36 +163,42 @@ Tensor Conv2d::Forward(const Tensor& input) {
           dst[c * plane + p] = result[c * plane + p] + b;
         }
       }
-      cached_cols_[static_cast<size_t>(s)] = std::move(cols);
+      if (tape != nullptr) {
+        tape->tensors[static_cast<size_t>(s)] = std::move(cols);
+      }
     }
   });
   return out;
 }
 
-Tensor Conv2d::Backward(const Tensor& grad_output) {
+Tensor Conv2d::Backward(const Tensor& grad_output, const Tape& tape) {
   int64_t n = grad_output.shape().dim(0);
+  // vdrift-lint: allow(no-data-dependent-check): fwd/bwd pairing contract
+  VDRIFT_CHECK(static_cast<size_t>(n) == tape.tensors.size() &&
+               tape.shape.ndim() == 4)
+      << "Backward batch size mismatch";
+  const int in_h = static_cast<int>(tape.shape.dim(2));
+  const int in_w = static_cast<int>(tape.shape.dim(3));
+  const int out_h = ConvOutDim(in_h, kernel_, stride_, pad_);
+  const int out_w = ConvOutDim(in_w, kernel_, stride_, pad_);
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(grad_output.shape().ndim() == 4 &&
                grad_output.shape().dim(1) == out_channels_ &&
-               grad_output.shape().dim(2) == out_h_ &&
-               grad_output.shape().dim(3) == out_w_);
-  // vdrift-lint: allow(no-data-dependent-check): fwd/bwd pairing contract
-  VDRIFT_CHECK(static_cast<size_t>(n) == cached_cols_.size())
-      << "Backward batch size mismatch";
-  int64_t bw_out_plane = static_cast<int64_t>(out_h_) * out_w_;
-  int64_t bw_patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
-  // Per sample: dW GEMM + dCols GEMM (2 * out_c * patch * out_plane
-  // each), bias row sums, and the col2im accumulate.
+               grad_output.shape().dim(2) == out_h &&
+               grad_output.shape().dim(3) == out_w);
+  const int64_t plane = static_cast<int64_t>(out_h) * out_w;
+  const int64_t patch = static_cast<int64_t>(in_channels_) * kernel_ * kernel_;
+  // Per sample: dW GEMM + dCols GEMM (2 * out_c * patch * plane each),
+  // bias row sums, and the col2im accumulate.
   VDRIFT_OP_PROBE(
       "nn", "conv2d_backward",
-      n * (4 * out_channels_ * bw_patch * bw_out_plane +
-           out_channels_ * bw_out_plane + bw_patch * bw_out_plane),
+      n * (4 * out_channels_ * patch * plane + out_channels_ * plane +
+           patch * plane),
       static_cast<int64_t>(sizeof(float)) * n *
-          (2 * out_channels_ * bw_out_plane + 2 * bw_patch * bw_out_plane +
-           static_cast<int64_t>(in_channels_) * in_h_ * in_w_));
-  Tensor grad_input(Shape{n, in_channels_, in_h_, in_w_});
-  int64_t plane = static_cast<int64_t>(out_h_) * out_w_;
-  int64_t in_plane = static_cast<int64_t>(in_h_) * in_w_;
+          (2 * out_channels_ * plane + 2 * patch * plane +
+           static_cast<int64_t>(in_channels_) * in_h * in_w));
+  Tensor grad_input(Shape{n, in_channels_, in_h, in_w});
+  const int64_t in_plane = static_cast<int64_t>(in_h) * in_w;
   // Per-sample weight/bias contributions land in thread-private slots and
   // fold into the shared gradients in ascending sample order afterwards —
   // the exact accumulation order of the serial loop, so parallel backward
@@ -207,7 +214,7 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
       std::copy(src, src + dy.size(), dy.data());
       // dW_s = dY cols^T ; db_s = row sums of dY.
       sample_dw[static_cast<size_t>(s)] =
-          tensor::MatmulTransposedB(dy, cached_cols_[static_cast<size_t>(s)]);
+          tensor::MatmulTransposedB(dy, tape.tensors[static_cast<size_t>(s)]);
       std::vector<float>& db = sample_db[static_cast<size_t>(s)];
       for (int64_t c = 0; c < out_channels_; ++c) {
         double acc = 0.0;
@@ -216,8 +223,8 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
       }
       // dCols = W^T dY ; dX = col2im(dCols).
       Tensor dcols = tensor::MatmulTransposedA(weight_.value, dy);
-      Tensor dx = tensor::Col2Im(dcols, in_channels_, in_h_, in_w_, kernel_,
-                                 kernel_, stride_, pad_, out_h_, out_w_);
+      Tensor dx = tensor::Col2Im(dcols, in_channels_, in_h, in_w, kernel_,
+                                 kernel_, stride_, pad_, out_h, out_w);
       float* dst = grad_input.data() + s * in_channels_ * in_plane;
       std::copy(dx.data(), dx.data() + dx.size(), dst);
     }
@@ -232,18 +239,21 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor ReLU::Forward(const Tensor& input) {
+Tensor ReLU::Forward(const Tensor& input, Tape* tape) const {
   VDRIFT_OP_PROBE("nn", "relu_forward", input.size(),
                   ElementwiseBytes(input.size()));
   Tensor out = input;
-  mask_ = Tensor(input.shape());
   float* po = out.data();
-  float* pm = mask_.data();
+  float* pm = nullptr;
+  if (tape != nullptr) {
+    tape->tensors = {Tensor(input.shape())};
+    pm = tape->tensors[0].data();
+  }
   ParallelFor(0, out.size(), kActivationGrain,
               [&](int64_t begin, int64_t end) {
                 for (int64_t i = begin; i < end; ++i) {
                   if (po[i] > 0.0f) {
-                    pm[i] = 1.0f;
+                    if (pm != nullptr) pm[i] = 1.0f;
                   } else {
                     po[i] = 0.0f;
                   }
@@ -252,11 +262,11 @@ Tensor ReLU::Forward(const Tensor& input) {
   return out;
 }
 
-Tensor ReLU::Backward(const Tensor& grad_output) {
-  return tensor::Mul(grad_output, mask_);
+Tensor ReLU::Backward(const Tensor& grad_output, const Tape& tape) {
+  return tensor::Mul(grad_output, tape.tensors[0]);
 }
 
-Tensor Sigmoid::Forward(const Tensor& input) {
+Tensor Sigmoid::Forward(const Tensor& input, Tape* tape) const {
   VDRIFT_OP_PROBE("nn", "sigmoid_forward", input.size(),
                   ElementwiseBytes(input.size()));
   Tensor out = input;
@@ -267,14 +277,14 @@ Tensor Sigmoid::Forward(const Tensor& input) {
                   po[i] = 1.0f / (1.0f + std::exp(-po[i]));
                 }
               });
-  cached_output_ = out;
+  if (tape != nullptr) tape->tensors = {out};
   return out;
 }
 
-Tensor Sigmoid::Backward(const Tensor& grad_output) {
+Tensor Sigmoid::Backward(const Tensor& grad_output, const Tape& tape) {
   Tensor grad = grad_output;
   float* pg = grad.data();
-  const float* py = cached_output_.data();
+  const float* py = tape.tensors[0].data();
   ParallelFor(0, grad.size(), kActivationGrain,
               [&](int64_t begin, int64_t end) {
                 for (int64_t i = begin; i < end; ++i) {
@@ -284,7 +294,7 @@ Tensor Sigmoid::Backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::Forward(const Tensor& input) {
+Tensor Tanh::Forward(const Tensor& input, Tape* tape) const {
   VDRIFT_OP_PROBE("nn", "tanh_forward", input.size(),
                   ElementwiseBytes(input.size()));
   Tensor out = input;
@@ -295,14 +305,14 @@ Tensor Tanh::Forward(const Tensor& input) {
                   po[i] = std::tanh(po[i]);
                 }
               });
-  cached_output_ = out;
+  if (tape != nullptr) tape->tensors = {out};
   return out;
 }
 
-Tensor Tanh::Backward(const Tensor& grad_output) {
+Tensor Tanh::Backward(const Tensor& grad_output, const Tape& tape) {
   Tensor grad = grad_output;
   float* pg = grad.data();
-  const float* py = cached_output_.data();
+  const float* py = tape.tensors[0].data();
   ParallelFor(0, grad.size(), kActivationGrain,
               [&](int64_t begin, int64_t end) {
                 for (int64_t i = begin; i < end; ++i) {
@@ -312,26 +322,26 @@ Tensor Tanh::Backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Flatten::Forward(const Tensor& input) {
+Tensor Flatten::Forward(const Tensor& input, Tape* tape) const {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(input.shape().ndim() >= 2);
-  cached_shape_ = input.shape();
+  if (tape != nullptr) tape->shape = input.shape();
   int64_t n = input.shape().dim(0);
   int64_t features = input.shape().NumElements() / n;
   return input.Reshaped(Shape{n, features});
 }
 
-Tensor Flatten::Backward(const Tensor& grad_output) {
-  return grad_output.Reshaped(cached_shape_);
+Tensor Flatten::Backward(const Tensor& grad_output, const Tape& tape) {
+  return grad_output.Reshaped(tape.shape);
 }
 
-Tensor Upsample2x::Forward(const Tensor& input) {
+Tensor Upsample2x::Forward(const Tensor& input, Tape* tape) const {
   // vdrift-lint: allow(no-data-dependent-check): layer shape contract
   VDRIFT_CHECK(input.shape().ndim() == 4);
   // Replication only: 0 FLOPs, input read once + 4x output written.
   VDRIFT_OP_PROBE("nn", "upsample2x_forward", 0,
                   static_cast<int64_t>(sizeof(float)) * 5 * input.size());
-  cached_shape_ = input.shape();
+  if (tape != nullptr) tape->shape = input.shape();
   int64_t n = input.shape().dim(0);
   int64_t c = input.shape().dim(1);
   int64_t h = input.shape().dim(2);
@@ -358,12 +368,12 @@ Tensor Upsample2x::Forward(const Tensor& input) {
   return out;
 }
 
-Tensor Upsample2x::Backward(const Tensor& grad_output) {
-  int64_t n = cached_shape_.dim(0);
-  int64_t c = cached_shape_.dim(1);
-  int64_t h = cached_shape_.dim(2);
-  int64_t w = cached_shape_.dim(3);
-  Tensor grad(cached_shape_);
+Tensor Upsample2x::Backward(const Tensor& grad_output, const Tape& tape) {
+  int64_t n = tape.shape.dim(0);
+  int64_t c = tape.shape.dim(1);
+  int64_t h = tape.shape.dim(2);
+  int64_t w = tape.shape.dim(3);
+  Tensor grad(tape.shape);
   ParallelFor(
       0, n * c, GrainForCost(4 * h * w),
       [&](int64_t plane_begin, int64_t plane_end) {

@@ -18,9 +18,14 @@ class Linear : public Layer {
  public:
   Linear(int in_features, int out_features, stats::Rng* rng);
 
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
+  std::vector<const Parameter*> Params() const override {
+    return {&weight_, &bias_};
+  }
   std::string name() const override { return "Linear"; }
 
   int in_features() const { return in_features_; }
@@ -31,7 +36,6 @@ class Linear : public Layer {
   int out_features_;
   Parameter weight_;
   Parameter bias_;
-  tensor::Tensor cached_input_;
 };
 
 /// \brief 2-D convolution over [N, C, H, W] batches (im2col + GEMM).
@@ -42,9 +46,14 @@ class Conv2d : public Layer {
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
          stats::Rng* rng);
 
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
+  std::vector<const Parameter*> Params() const override {
+    return {&weight_, &bias_};
+  }
   std::string name() const override { return "Conv2d"; }
 
  private:
@@ -55,56 +64,46 @@ class Conv2d : public Layer {
   int pad_;
   Parameter weight_;
   Parameter bias_;
-  // Cached per-sample im2col matrices plus the input geometry.
-  std::vector<tensor::Tensor> cached_cols_;
-  int in_h_ = 0;
-  int in_w_ = 0;
-  int out_h_ = 0;
-  int out_w_ = 0;
 };
 
 /// \brief Elementwise ReLU.
 class ReLU : public Layer {
  public:
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::string name() const override { return "ReLU"; }
-
- private:
-  tensor::Tensor mask_;
 };
 
 /// \brief Elementwise logistic sigmoid.
 class Sigmoid : public Layer {
  public:
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::string name() const override { return "Sigmoid"; }
-
- private:
-  tensor::Tensor cached_output_;
 };
 
 /// \brief Elementwise tanh.
 class Tanh : public Layer {
  public:
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::string name() const override { return "Tanh"; }
-
- private:
-  tensor::Tensor cached_output_;
 };
 
 /// \brief Flattens [N, C, H, W] (or any >=2-D) into [N, features].
 class Flatten : public Layer {
  public:
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::string name() const override { return "Flatten"; }
-
- private:
-  tensor::Shape cached_shape_;
 };
 
 /// \brief Nearest-neighbour 2x spatial upsampling of [N, C, H, W].
@@ -114,12 +113,11 @@ class Flatten : public Layer {
 /// needing a transposed-convolution kernel.
 class Upsample2x : public Layer {
  public:
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::string name() const override { return "Upsample2x"; }
-
- private:
-  tensor::Shape cached_shape_;
 };
 
 }  // namespace vdrift::nn

@@ -38,9 +38,13 @@ class Sequential : public Layer {
     layers_.push_back(std::move(layer));
   }
 
-  tensor::Tensor Forward(const tensor::Tensor& input) override;
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override;
+  /// Records one child tape per layer (each inherits `tape->rng`).
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         Tape* tape = nullptr) const override;
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const Tape& tape) override;
   std::vector<Parameter*> Params() override;
+  std::vector<const Parameter*> Params() const override;
   std::string name() const override { return "Sequential"; }
 
   /// Number of layers.

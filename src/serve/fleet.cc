@@ -40,6 +40,16 @@ int64_t ParseEnvInt(const char* name, int64_t lo, int64_t hi,
   return static_cast<int64_t>(parsed);
 }
 
+// The model named `name` in `models`, or null.
+const select::PublishedModel* FindModel(
+    const std::vector<select::PublishedModel>& models,
+    const std::string& name) {
+  for (const select::PublishedModel& model : models) {
+    if (model.entry.name == name) return &model;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 void FleetOptions::ApplyEnv() {
@@ -92,8 +102,7 @@ Status DriftFleet::AddBaseModel(
     return Status::FailedPrecondition(
         "base models must be published before any stream is added");
   }
-  VDRIFT_ASSIGN_OR_RETURN(bool accepted, published_.Publish(entry, sample));
-  if (!accepted) {
+  if (!published_.Publish(entry, sample)) {
     return Status::InvalidArgument("base model name already published: " +
                                    entry.name);
   }
@@ -130,22 +139,15 @@ Status DriftFleet::BuildShardPipeline(
   std::vector<std::vector<select::LabeledFrame>> samples;
   samples.reserve(fingerprint.size());
   for (const std::string& name : fingerprint) {
-    const select::PublishedModel* found = nullptr;
-    for (const select::PublishedModel& published : *snapshot) {
-      if (published.entry.name == name) {
-        found = &published;
-        break;
-      }
-    }
+    const select::PublishedModel* found = FindModel(*snapshot, name);
+    if (found == nullptr) found = FindModel(shard->rejected, name);
     if (found == nullptr) {
       return Status::DataLoss("model '" + name +
                               "' is not in the shared registry; cannot "
                               "rebuild shard " +
                               shard->label);
     }
-    VDRIFT_ASSIGN_OR_RETURN(select::ModelEntry clone,
-                            select::CloneModelEntry(found->entry));
-    registry->Add(std::move(clone));
+    registry->Add(found->entry);
     samples.push_back(found->calibration_sample);
   }
   pipeline::PipelineConfig config = options_.pipeline;
@@ -223,10 +225,11 @@ Status DriftFleet::RebuildShard(Shard* shard) {
         VDRIFT_LOG_WARNING << "shard " << shard->label
                            << " resume failed, cold-starting: "
                            << resumed.ToString();
-      } else if (built.code() != StatusCode::kDataLoss) {
-        // Missing published models degrade to cold start; anything else
-        // (e.g. an uncloneable entry) is a wiring error worth surfacing.
-        return built;
+      } else {
+        VDRIFT_LOG_WARNING << "shard " << shard->label
+                           << " checkpoint names unknown models, "
+                              "cold-starting: "
+                           << built.ToString();
       }
     } else {
       VDRIFT_LOG_WARNING << "shard " << shard->label
@@ -234,11 +237,10 @@ Status DriftFleet::RebuildShard(Shard* shard) {
                          << checkpoint.status().ToString();
     }
   }
-  // Cold start: the shard replays its stream from the beginning against a
-  // fresh replica of its initial models. Its labeled counters keep
-  // accumulating (the shared registry outlives the shard), so the books
-  // stay monotonic — the report's per-stream metrics restart from the
-  // pipeline's cold state.
+  // Cold start: the shard replays its stream from the beginning against its
+  // initial models. Its labeled counters keep accumulating (the shared
+  // registry outlives the shard), so the books stay monotonic — the
+  // report's per-stream metrics restart from the pipeline's cold state.
   shard->pipeline.reset();
   shard->registry.reset();
   VDRIFT_RETURN_NOT_OK(BuildShardPipeline(shard, shard->initial_fingerprint));
@@ -290,9 +292,7 @@ Status DriftFleet::QuarantineShard(Shard* shard, const Status& cause) {
 Status DriftFleet::PublishShardModels(Shard* shard) {
   const select::ModelRegistry& registry = *shard->registry;
   const auto& samples = shard->pipeline->calibration_samples();
-  // Incumbents are the shard's own private clones of everything already
-  // published — COW-stored entries must never be executed, and the gate
-  // runs models (supervisor.h).
+  // Incumbents are everything the shard held at the last barrier.
   const int incumbents_end = shard->synced_entries;
   for (int i = shard->synced_entries; i < registry.size(); ++i) {
     const std::vector<select::LabeledFrame> sample =
@@ -309,7 +309,9 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
                                               options_.publication_gate);
     if (!verdict.accepted) {
       // The fleet falls back to the incumbents: the candidate stays
-      // private to the shard that trained it and is never adoptable.
+      // private to the shard that trained it and is never adoptable. The
+      // shard keeps it across rebuilds (its checkpoint may name it).
+      shard->rejected.push_back(select::PublishedModel{registry.at(i), sample});
       publish_rejected_ += 1;
       registry_->GetCounter("vdrift.serve.publish_rejected").Increment();
       registry_
@@ -324,9 +326,7 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
                          << verdict.incumbent_accuracy;
       continue;
     }
-    VDRIFT_ASSIGN_OR_RETURN(bool accepted,
-                            published_.Publish(registry.at(i), sample));
-    if (accepted) {
+    if (published_.Publish(registry.at(i), sample)) {
       models_published_ += 1;
       registry_->GetCounter("vdrift.fleet.models_published").Increment();
       lineage_.push_back(
@@ -343,10 +343,8 @@ Status DriftFleet::AdoptPublished(Shard* shard) {
   // deterministic order no matter which stream trained what.
   for (const select::PublishedModel& published : *snapshot) {
     if (shard->registry->FindByName(published.entry.name) >= 0) continue;
-    VDRIFT_ASSIGN_OR_RETURN(select::ModelEntry clone,
-                            select::CloneModelEntry(published.entry));
-    VDRIFT_RETURN_NOT_OK(
-        shard->pipeline->AdoptModel(clone, published.calibration_sample));
+    VDRIFT_RETURN_NOT_OK(shard->pipeline->AdoptModel(
+        published.entry, published.calibration_sample));
     models_adopted_ += 1;
     registry_->GetCounter("vdrift.fleet.models_adopted").Increment();
   }
@@ -492,12 +490,6 @@ Result<FleetReport> DriftFleet::Run() {
   if (shards_.empty()) {
     return Status::FailedPrecondition("fleet has no streams");
   }
-  for (const CrashDrill& drill : options_.crash_drills) {
-    if (FindShard(drill.stream) == nullptr) {
-      return Status::InvalidArgument("crash drill targets unknown stream: " +
-                                     drill.stream);
-    }
-  }
   for (const fault::ChaosEvent& event : options_.chaos.events) {
     if (!event.stream.empty() && FindShard(event.stream) == nullptr) {
       return Status::InvalidArgument("chaos event targets unknown stream: " +
@@ -623,11 +615,10 @@ Result<FleetReport> DriftFleet::Run() {
 
   while (!ready.empty() || any_parked()) {
     const int64_t round = rounds_;
-    // Chaos events and scheduled crash drills fire between rounds, before
-    // admission. Order within a round: manifest corruption first (so a
-    // coordinator kill in the same round resumes from damaged bytes —
-    // the self-healing path), then the coordinator kill, then per-shard
-    // events in draw order.
+    // Chaos events fire between rounds, before admission. Order within a
+    // round: manifest corruption first (so a coordinator kill in the same
+    // round resumes from damaged bytes — the self-healing path), then the
+    // coordinator kill, then per-shard events in draw order.
     const std::vector<fault::ChaosEvent> events =
         options_.chaos.EventsAt(round);
     for (const fault::ChaosEvent& event : events) {
@@ -680,15 +671,6 @@ Result<FleetReport> DriftFleet::Run() {
           break;
       }
     }
-    for (const CrashDrill& drill : options_.crash_drills) {
-      if (drill.round != round) continue;
-      Shard* shard = FindShard(drill.stream);
-      if (!shard->health.Serving()) continue;
-      remove_from_ready(shard->index);
-      VDRIFT_RETURN_NOT_OK(KillShard(
-          shard, Status::Internal("crash drill at round " +
-                                  std::to_string(round))));
-    }
     // Admission control: up to max_concurrent shards run this round; the
     // rest stay queued and each queued shard counts one backpressure wait.
     size_t admit = std::min<size_t>(
@@ -700,9 +682,10 @@ Result<FleetReport> DriftFleet::Run() {
     waits_counter.Increment(static_cast<int64_t>(ready.size()));
     active_gauge.Set(static_cast<double>(admitted.size()));
     // One cooperative slice per admitted shard, in parallel. Shards share
-    // no mutable state (private model replicas, thread-safe registry), and
-    // cross-stream effects (publication/adoption) happen only at the
-    // barrier below — so the outcome is independent of VDRIFT_THREADS.
+    // no mutable state (the models they share are immutable, the registry
+    // is thread-safe), and cross-stream effects (publication/adoption)
+    // happen only at the barrier below — so the outcome is independent of
+    // VDRIFT_THREADS.
     runtime::ParallelFor(
         0, static_cast<int64_t>(admitted.size()), 1,
         [&](int64_t begin, int64_t end) {
@@ -739,7 +722,7 @@ Result<FleetReport> DriftFleet::Run() {
       VDRIFT_RETURN_NOT_OK(AdoptPublished(shard.get()));
     }
     // 4. Checkpoint after adoption so the serialized registry fingerprint
-    //    matches the live replica.
+    //    matches the shard's registry.
     if (!options_.checkpoint_dir.empty()) {
       for (const std::unique_ptr<Shard>& shard : shards_) {
         if (shard->health.Terminal() || shard->done) continue;

@@ -36,15 +36,6 @@ struct StreamSpec {
   fault::FaultInjector* injector = nullptr;
 };
 
-/// \brief A deterministic kill-and-restore drill: at the start of round
-/// `round`, the named shard's pipeline and model replica are destroyed and
-/// rebuilt from its last checkpoint, exactly as if that shard had crashed
-/// between rounds. The other shards never notice.
-struct CrashDrill {
-  std::string stream;
-  int64_t round = 0;
-};
-
 /// \brief Fleet configuration.
 struct FleetOptions {
   /// Template pipeline config applied to every shard. The fleet overrides
@@ -89,10 +80,8 @@ struct FleetOptions {
   std::string slo_spec;
   /// Per-window JSONL sink for the fleet sampler ("" disables).
   std::string jsonl_path;
-  /// Deterministic crash drills (tests and chaos benches).
-  std::vector<CrashDrill> crash_drills;
-  /// Seed-driven chaos schedule (kill shards, corrupt checkpoints /
-  /// manifests, kill the coordinator). Empty = no chaos.
+  /// Chaos schedule, seed-driven or hand-written (kill shards, corrupt
+  /// checkpoints / manifests, kill the coordinator). Empty = no chaos.
   fault::ChaosPlan chaos;
 
   /// Overlays the documented env knobs onto this options struct:
@@ -110,7 +99,7 @@ struct StreamReport {
   pipeline::PipelineMetrics metrics;  ///< Cumulative pipeline metrics.
   int64_t frames = 0;    ///< Stream cursor at the end (frames consumed).
   int64_t slices = 0;    ///< Scheduling slices the shard ran.
-  int restarts = 0;      ///< Crash drills + failed-slice restarts consumed.
+  int restarts = 0;      ///< Chaos kills + failed-slice restarts consumed.
   /// Frames the quarantine refused to serve (stream total - checkpoint
   /// cursor). Loss accounting stays exact:
   ///   metrics.count_total + metrics.degradation.frames_dropped
@@ -141,12 +130,12 @@ struct FleetReport {
 /// \brief Multi-stream drift-aware serving (ROADMAP item 1).
 ///
 /// Multiplexes N concurrent streams over the deterministic thread pool.
-/// Each stream owns a full DriftAwarePipeline shard — its own deep-cloned
-/// model replica (NN layers cache forward state, so two shards must never
-/// execute the same model object), its own DriftInspector, its own fault
-/// injector — while all shards share one CowModelRegistry: a model trained
-/// for one stream's drift is published at the next round barrier and
-/// becomes selectable by every stream.
+/// Each stream owns a full DriftAwarePipeline shard — its own registry of
+/// entries, its own DriftInspector, its own fault injector — while the
+/// model objects themselves are shared: inference is const, so every shard
+/// runs the one copy of each model that the CowModelRegistry holds. A
+/// model trained for one stream's drift is published at the next round
+/// barrier and becomes selectable by every stream.
 ///
 /// Scheduling is bulk-synchronous: each round admits up to max_concurrent
 /// ready shards, runs one fixed-size slice per shard in parallel
@@ -156,9 +145,9 @@ struct FleetReport {
 ///      (append order = deterministic adoption order),
 ///   2. restore shards whose slice failed (from their last checkpoint) or
 ///      quarantine them once the restart budget is exhausted,
-///   3. adopt every published model each shard is missing (clone first),
+///   3. adopt every published model each shard is missing,
 ///   4. checkpoint every live shard (after adoption, so the registry
-///      fingerprint in the file matches the live replica),
+///      fingerprint in the file matches the shard's registry),
 ///   5. fold per-stream labeled counters into the unlabeled aggregates
 ///      (sum of {stream=...} series == aggregate, exactly, every round),
 ///      tick the fleet sampler/watchdog, and advance every shard's health
@@ -180,8 +169,8 @@ class DriftFleet {
   ~DriftFleet();
 
   /// Publishes a pre-provisioned base model every stream starts with
-  /// (deep-copied into the shared registry; `sample` is its MSBO
-  /// calibration sample). Call before AddStream.
+  /// (the shared registry keeps the caller's model objects; `sample` is
+  /// its MSBO calibration sample). Call before AddStream.
   Status AddBaseModel(const select::ModelEntry& entry,
                       const std::vector<select::LabeledFrame>& sample);
 
@@ -190,8 +179,8 @@ class DriftFleet {
       const select::ModelRegistry& registry,
       const std::vector<std::vector<select::LabeledFrame>>& samples);
 
-  /// Adds a stream shard: clones every published model into the shard's
-  /// private replica and builds its pipeline. Labels must be unique.
+  /// Adds a stream shard: builds its pipeline over every published model.
+  /// Labels must be unique.
   Status AddStream(const StreamSpec& spec);
 
   /// Runs every stream to exhaustion (resuming from the fleet manifest
@@ -223,7 +212,7 @@ class DriftFleet {
     video::FrameSource* stream = nullptr;
     fault::FaultInjector* injector = nullptr;
     int index = 0;  ///< AddStream order (per-shard seed derivation).
-    /// Private model replica (every entry deep-cloned; never shared).
+    /// The shard's registry: published entries plus the models it trained.
     std::unique_ptr<select::ModelRegistry> registry;
     std::unique_ptr<pipeline::DriftAwarePipeline> pipeline;
     /// Model names the shard starts with (cold-start fallback registry).
@@ -231,6 +220,10 @@ class DriftFleet {
     /// Local registry size after the last barrier; entries beyond it were
     /// trained this round and are pending publication.
     int synced_entries = 0;
+    /// Models the publication gate refused, with their calibration
+    /// samples. They stay private to this shard, and its checkpoint may
+    /// name them, so a rebuild looks them up here after the snapshot.
+    std::vector<select::PublishedModel> rejected;
     std::string checkpoint_path;  ///< "" when checkpointing is disabled.
     /// Last aggregated value per counter family (delta folding).
     std::map<std::string, int64_t> prev_counters;
@@ -247,8 +240,9 @@ class DriftFleet {
   };
 
   Shard* FindShard(const std::string& label);
-  /// Builds a shard pipeline over a fresh replica cloned from the shared
-  /// registry, one entry per fingerprint name, in fingerprint order.
+  /// Builds a shard pipeline over one entry per fingerprint name, in
+  /// fingerprint order, found in the shared registry or among the shard's
+  /// rejected models.
   Status BuildShardPipeline(Shard* shard,
                             const std::vector<std::string>& fingerprint);
   /// Rebuild from the shard's checkpoint (cold-start from the initial
@@ -264,7 +258,7 @@ class DriftFleet {
   Status QuarantineShard(Shard* shard, const Status& cause);
   /// Barrier step 1: gate + publish models the shard trained this round.
   Status PublishShardModels(Shard* shard);
-  /// Barrier step 3: clone+adopt published models the shard is missing.
+  /// Barrier step 3: adopt published models the shard is missing.
   Status AdoptPublished(Shard* shard);
   /// Barrier step 5: fold labeled counter deltas into the aggregates.
   void AggregateShard(Shard* shard);

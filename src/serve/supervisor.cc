@@ -18,7 +18,7 @@ constexpr uint32_t kVersion = 1;
 /// Holdout accuracy of one query model: fraction of frames where the
 /// top-probability class matches the label. Any non-finite probability
 /// makes the model unconditionally rejectable, signalled by -1.
-double ProbeAccuracy(nn::ProbabilisticClassifier* model,
+double ProbeAccuracy(const nn::ProbabilisticClassifier* model,
                      const std::vector<select::LabeledFrame>& holdout,
                      int max_frames) {
   int probed = 0;

@@ -39,7 +39,7 @@ const char* HealthStateName(HealthState state);
 
 /// \brief Restart budget knobs (FleetOptions carries one per fleet).
 struct HealthPolicy {
-  /// Restarts (crash drills, chaos kills, failed slices) a shard may
+  /// Restarts (chaos kills, failed slices) a shard may
   /// consume before its next crash quarantines it.
   int max_restarts = 2;
   /// Exponential backoff: restart k parks the shard for
@@ -115,11 +115,7 @@ struct GateVerdict {
 /// any non-finite probability output, and holdout accuracy below the best
 /// incumbent minus `options.accuracy_margin`.
 ///
-/// `incumbents` must be the *publishing shard's own private clones* —
-/// executing a model mutates its cached forward state, so COW-stored
-/// entries must never be probed directly (the registry invariant).
-/// Probing the publisher's clones at the serial barrier is safe and
-/// thread-count independent.
+/// `incumbents` are the publishing shard's entries as of the last barrier.
 GateVerdict EvaluatePublication(
     const select::ModelEntry& candidate,
     const std::vector<select::LabeledFrame>& holdout,

@@ -59,19 +59,34 @@ Vae::Vae(const VaeConfig& config, stats::Rng* rng) : config_(config) {
   decoder_.Add<Sigmoid>();
 }
 
-void Vae::EncodeBatch(const Tensor& batch, Tensor* mu, Tensor* logvar) {
-  Tensor h = encoder_trunk_.Forward(batch);
-  *mu = fc_mu_->Forward(h);
-  *logvar = fc_logvar_->Forward(h);
+namespace {
+
+// Child tapes of one Vae::Forward: the trunk, the two heads, the decoder.
+enum TapeSlot : size_t { kTrunk, kMu, kLogvar, kDecoder, kNumSlots };
+
+nn::Tape* Slot(nn::Tape* tape, TapeSlot slot) {
+  if (tape == nullptr) return nullptr;
+  tape->children.resize(kNumSlots);
+  return &tape->children[slot];
+}
+
+}  // namespace
+
+void Vae::EncodeBatch(const Tensor& batch, Tensor* mu, Tensor* logvar,
+                      nn::Tape* tape) const {
+  Tensor h = encoder_trunk_.Forward(batch, Slot(tape, kTrunk));
+  *mu = fc_mu_->Forward(h, Slot(tape, kMu));
+  *logvar = fc_logvar_->Forward(h, Slot(tape, kLogvar));
   // Clamp log-variance for numerical stability of exp().
   for (int64_t i = 0; i < logvar->size(); ++i) {
     (*logvar)[i] = std::clamp((*logvar)[i], -8.0f, 8.0f);
   }
 }
 
-Vae::ForwardResult Vae::Forward(const Tensor& batch, stats::Rng* rng) {
+Vae::ForwardResult Vae::Forward(const Tensor& batch, stats::Rng* rng,
+                                nn::Tape* tape) const {
   ForwardResult result;
-  EncodeBatch(batch, &result.mu, &result.logvar);
+  EncodeBatch(batch, &result.mu, &result.logvar, tape);
   result.eps = Tensor(result.mu.shape());
   result.z = Tensor(result.mu.shape());
   for (int64_t i = 0; i < result.z.size(); ++i) {
@@ -80,7 +95,7 @@ Vae::ForwardResult Vae::Forward(const Tensor& batch, stats::Rng* rng) {
     result.z[i] =
         result.mu[i] + std::exp(0.5f * result.logvar[i]) * e;
   }
-  result.recon = decoder_.Forward(result.z);
+  result.recon = decoder_.Forward(result.z, Slot(tape, kDecoder));
   return result;
 }
 
@@ -88,7 +103,8 @@ Vae::Losses Vae::TrainStep(const Tensor& batch, nn::Optimizer* optimizer,
                            stats::Rng* rng) {
   int64_t n = batch.shape().dim(0);
   optimizer->ZeroGrad();
-  ForwardResult fwd = Forward(batch, rng);
+  nn::Tape tape;
+  ForwardResult fwd = Forward(batch, rng, &tape);
   // Reconstruction: pixel-wise BCE, summed per sample, averaged over batch.
   nn::LossResult bce = nn::BinaryCrossEntropy(fwd.recon, batch);
   // KL(q(z|x) || N(0, I)) = -1/2 sum(1 + logvar - mu^2 - exp(logvar)).
@@ -116,7 +132,7 @@ Vae::Losses Vae::TrainStep(const Tensor& batch, nn::Optimizer* optimizer,
   kl = config_.kl_weight * kl / static_cast<double>(n);
 
   // Backward: decoder -> dL/dz -> reparameterisation -> heads -> trunk.
-  Tensor grad_z = decoder_.Backward(bce.grad);
+  Tensor grad_z = decoder_.Backward(bce.grad, tape.children[kDecoder]);
   runtime::ParallelFor(
       0, grad_z.size(), 1 << 14, [&](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
@@ -125,9 +141,10 @@ Vae::Losses Vae::TrainStep(const Tensor& batch, nn::Optimizer* optimizer,
               grad_z[i] * fwd.eps[i] * 0.5f * std::exp(0.5f * fwd.logvar[i]);
         }
       });
-  Tensor grad_h = fc_mu_->Backward(grad_mu);
-  tensor::AddInPlace(&grad_h, fc_logvar_->Backward(grad_logvar));
-  encoder_trunk_.Backward(grad_h);
+  Tensor grad_h = fc_mu_->Backward(grad_mu, tape.children[kMu]);
+  tensor::AddInPlace(&grad_h,
+                     fc_logvar_->Backward(grad_logvar, tape.children[kLogvar]));
+  encoder_trunk_.Backward(grad_h, tape.children[kTrunk]);
   optimizer->Step();
 
   Losses losses;
@@ -136,7 +153,7 @@ Vae::Losses Vae::TrainStep(const Tensor& batch, nn::Optimizer* optimizer,
   return losses;
 }
 
-Vae::Losses Vae::Evaluate(const Tensor& batch, stats::Rng* rng) {
+Vae::Losses Vae::Evaluate(const Tensor& batch, stats::Rng* rng) const {
   int64_t n = batch.shape().dim(0);
   ForwardResult fwd = Forward(batch, rng);
   nn::LossResult bce = nn::BinaryCrossEntropy(fwd.recon, batch);
@@ -166,17 +183,18 @@ Tensor AsBatchOfOne(const Tensor& frame) {
 
 }  // namespace
 
-std::vector<float> Vae::EncodeMean(const Tensor& frame) {
+std::vector<float> Vae::EncodeMean(const Tensor& frame) const {
   Tensor mu;
   Tensor logvar;
-  EncodeBatch(AsBatchOfOne(frame), &mu, &logvar);
+  EncodeBatch(AsBatchOfOne(frame), &mu, &logvar, nullptr);
   return std::vector<float>(mu.data(), mu.data() + mu.size());
 }
 
-std::vector<float> Vae::EncodeSample(const Tensor& frame, stats::Rng* rng) {
+std::vector<float> Vae::EncodeSample(const Tensor& frame,
+                                     stats::Rng* rng) const {
   Tensor mu;
   Tensor logvar;
-  EncodeBatch(AsBatchOfOne(frame), &mu, &logvar);
+  EncodeBatch(AsBatchOfOne(frame), &mu, &logvar, nullptr);
   std::vector<float> z(static_cast<size_t>(mu.size()));
   for (int64_t i = 0; i < mu.size(); ++i) {
     z[static_cast<size_t>(i)] =
@@ -186,7 +204,7 @@ std::vector<float> Vae::EncodeSample(const Tensor& frame, stats::Rng* rng) {
   return z;
 }
 
-Tensor Vae::Decode(const std::vector<float>& z) {
+Tensor Vae::Decode(const std::vector<float>& z) const {
   VDRIFT_CHECK(static_cast<int>(z.size()) == config_.latent_dim);
   Tensor zt(Shape{1, config_.latent_dim});
   for (size_t i = 0; i < z.size(); ++i) zt[static_cast<int64_t>(i)] = z[i];
@@ -203,23 +221,14 @@ std::vector<nn::Parameter*> Vae::Params() {
   return params;
 }
 
-std::unique_ptr<Vae> Vae::Clone() const {
-  // Rebuild the architecture with a throwaway RNG (every weight is
-  // overwritten below), then copy the parameter values pairwise — Params()
-  // enumerates both networks' parameters in identical construction order.
-  stats::Rng init_rng(0);
-  auto clone = std::make_unique<Vae>(config_, &init_rng);
-  // Params() is non-const (layers expose mutable parameters); the source
-  // is only read.
-  Vae* self = const_cast<Vae*>(this);
-  std::vector<nn::Parameter*> src = self->Params();
-  std::vector<nn::Parameter*> dst = clone->Params();
-  // vdrift-lint: allow(no-data-dependent-check): same-architecture nets
-  VDRIFT_CHECK(src.size() == dst.size());
-  for (size_t i = 0; i < src.size(); ++i) {
-    dst[i]->value = src[i]->value;
-  }
-  return clone;
+std::vector<const nn::Parameter*> Vae::Params() const {
+  std::vector<const nn::Parameter*> params = encoder_trunk_.Params();
+  const nn::Layer& mu = *fc_mu_;
+  const nn::Layer& logvar = *fc_logvar_;
+  for (const nn::Parameter* p : mu.Params()) params.push_back(p);
+  for (const nn::Parameter* p : logvar.Params()) params.push_back(p);
+  for (const nn::Parameter* p : decoder_.Params()) params.push_back(p);
+  return params;
 }
 
 Tensor StackFrames(const std::vector<Tensor>& frames) {

@@ -22,12 +22,14 @@ class DecoderReshape : public nn::Layer {
   DecoderReshape(int channels, int spatial)
       : channels_(channels), spatial_(spatial) {}
 
-  tensor::Tensor Forward(const tensor::Tensor& input) override {
+  tensor::Tensor Forward(const tensor::Tensor& input,
+                         nn::Tape* /*tape*/ = nullptr) const override {
     int64_t n = input.shape().dim(0);
     return input.Reshaped(
         tensor::Shape{n, channels_, spatial_, spatial_});
   }
-  tensor::Tensor Backward(const tensor::Tensor& grad_output) override {
+  tensor::Tensor Backward(const tensor::Tensor& grad_output,
+                          const nn::Tape& /*tape*/) override {
     int64_t n = grad_output.shape().dim(0);
     return grad_output.Reshaped(tensor::Shape{
         n, static_cast<int64_t>(channels_) * spatial_ * spatial_});
@@ -86,7 +88,9 @@ class Vae {
   };
 
   /// Full forward pass with reparameterised sampling (training path).
-  ForwardResult Forward(const tensor::Tensor& batch, stats::Rng* rng);
+  /// With a tape, records what TrainStep's backward pass needs.
+  ForwardResult Forward(const tensor::Tensor& batch, stats::Rng* rng,
+                        nn::Tape* tape = nullptr) const;
 
   /// Loss decomposition of one step.
   struct Losses {
@@ -101,33 +105,31 @@ class Vae {
                    stats::Rng* rng);
 
   /// Evaluates the loss on a batch without updating parameters.
-  Losses Evaluate(const tensor::Tensor& batch, stats::Rng* rng);
+  Losses Evaluate(const tensor::Tensor& batch, stats::Rng* rng) const;
 
   /// Encodes a single frame [C, H, W] (or batch of one) to its posterior
   /// mean — the latent representation used for non-conformity scoring.
-  std::vector<float> EncodeMean(const tensor::Tensor& frame);
+  std::vector<float> EncodeMean(const tensor::Tensor& frame) const;
 
   /// Encodes a frame and samples z ~ N(mu, sigma^2) — one i.i.d. draw from
   /// the learned posterior, used to build Sigma_Ti.
   std::vector<float> EncodeSample(const tensor::Tensor& frame,
-                                  stats::Rng* rng);
+                                  stats::Rng* rng) const;
 
   /// Decodes a latent vector to an image [C, H, W].
-  tensor::Tensor Decode(const std::vector<float>& z);
+  tensor::Tensor Decode(const std::vector<float>& z) const;
 
   /// All trainable parameters (encoder trunk, heads, decoder).
   std::vector<nn::Parameter*> Params();
-
-  /// Deep copy: same architecture and parameters, fresh layer caches — a
-  /// clone can encode on another thread while this instance keeps serving.
-  std::unique_ptr<Vae> Clone() const;
+  /// The same parameters, read-only (serialization).
+  std::vector<const nn::Parameter*> Params() const;
 
   const VaeConfig& config() const { return config_; }
 
  private:
   // Shared encode helper: runs the trunk and heads on a [N,C,H,W] batch.
   void EncodeBatch(const tensor::Tensor& batch, tensor::Tensor* mu,
-                   tensor::Tensor* logvar);
+                   tensor::Tensor* logvar, nn::Tape* tape) const;
 
   VaeConfig config_;
   int trunk_features_ = 0;  // flattened size after the conv trunk

@@ -21,31 +21,34 @@ using stats::Rng;
 using tensor::Shape;
 using tensor::Tensor;
 
+// Eval mode is a Forward without a tape (inference).
 TEST(DropoutTest, EvalModeIsIdentity) {
-  Rng rng(1);
-  Dropout dropout(0.5, &rng);
-  dropout.set_training(false);
+  Dropout dropout(0.5);
   Tensor x(Shape{2, 8}, 1.5f);
   Tensor y = dropout.Forward(x);
   for (int64_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y[i], 1.5f);
   Tensor g(Shape{2, 8}, 2.0f);
-  Tensor gx = dropout.Backward(g);
+  Tensor gx = dropout.Backward(g, Tape{});
   for (int64_t i = 0; i < gx.size(); ++i) EXPECT_FLOAT_EQ(gx[i], 2.0f);
 }
 
 TEST(DropoutTest, RateZeroIsIdentityInTraining) {
   Rng rng(2);
-  Dropout dropout(0.0, &rng);
+  Dropout dropout(0.0);
+  Tape tape;
+  tape.rng = &rng;
   Tensor x(Shape{1, 16}, 0.7f);
-  Tensor y = dropout.Forward(x);
+  Tensor y = dropout.Forward(x, &tape);
   for (int64_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y[i], 0.7f);
 }
 
 TEST(DropoutTest, ZeroesApproximatelyRateFraction) {
   Rng rng(3);
-  Dropout dropout(0.3, &rng);
+  Dropout dropout(0.3);
+  Tape tape;
+  tape.rng = &rng;
   Tensor x(Shape{1, 20000}, 1.0f);
-  Tensor y = dropout.Forward(x);
+  Tensor y = dropout.Forward(x, &tape);
   int zeros = 0;
   for (int64_t i = 0; i < y.size(); ++i) {
     if (y[i] == 0.0f) ++zeros;
@@ -56,9 +59,11 @@ TEST(DropoutTest, ZeroesApproximatelyRateFraction) {
 
 TEST(DropoutTest, InvertedScalingPreservesExpectation) {
   Rng rng(4);
-  Dropout dropout(0.4, &rng);
+  Dropout dropout(0.4);
+  Tape tape;
+  tape.rng = &rng;
   Tensor x(Shape{1, 50000}, 1.0f);
-  Tensor y = dropout.Forward(x);
+  Tensor y = dropout.Forward(x, &tape);
   double sum = 0.0;
   for (int64_t i = 0; i < y.size(); ++i) sum += y[i];
   EXPECT_NEAR(sum / static_cast<double>(y.size()), 1.0, 0.02);
@@ -66,11 +71,13 @@ TEST(DropoutTest, InvertedScalingPreservesExpectation) {
 
 TEST(DropoutTest, BackwardUsesSameMask) {
   Rng rng(5);
-  Dropout dropout(0.5, &rng);
+  Dropout dropout(0.5);
+  Tape tape;
+  tape.rng = &rng;
   Tensor x(Shape{1, 64}, 1.0f);
-  Tensor y = dropout.Forward(x);
+  Tensor y = dropout.Forward(x, &tape);
   Tensor g(Shape{1, 64}, 1.0f);
-  Tensor gx = dropout.Backward(g);
+  Tensor gx = dropout.Backward(g, tape);
   for (int64_t i = 0; i < y.size(); ++i) {
     if (y[i] == 0.0f) {
       EXPECT_FLOAT_EQ(gx[i], 0.0f);
@@ -81,9 +88,8 @@ TEST(DropoutTest, BackwardUsesSameMask) {
 }
 
 TEST(DropoutDeathTest, RejectsBadRate) {
-  Rng rng(6);
-  EXPECT_DEATH(Dropout(1.0, &rng), "rate");
-  EXPECT_DEATH(Dropout(-0.1, &rng), "rate");
+  EXPECT_DEATH(Dropout(1.0), "rate");
+  EXPECT_DEATH(Dropout(-0.1), "rate");
 }
 
 TEST(McDropoutTest, WithoutDropoutEqualsPredictProba) {
@@ -123,8 +129,8 @@ TEST(McDropoutTest, StochasticPassesVaryAndAverageNormalises) {
 }
 
 TEST(McDropoutTest, DeterministicEvalAfterMcPasses) {
-  // PredictProba must stay deterministic even after MC passes toggled
-  // training mode on and off.
+  // PredictProba must stay deterministic even after MC passes drew
+  // dropout masks.
   Rng rng(9);
   detect::ClassifierConfig config;
   config.num_classes = 3;

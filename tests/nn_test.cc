@@ -3,6 +3,7 @@
 // end-to-end convergence tests (linear regression, XOR, a small conv net).
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -54,13 +55,24 @@ Tensor ObjectiveGrad(const Tensor& y) {
   return g;
 }
 
+// Same shape and the same bits in every element.
+void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<size_t>(a.size()) * sizeof(float)),
+            0);
+}
+
 // Verifies analytic input- and parameter-gradients of `layer` against
-// central finite differences on L = sum(Forward(x)^2).
+// central finite differences on L = sum(Forward(x)^2). Also checks that
+// recording a tape does not change the forward output.
 void CheckLayerGradients(Layer* layer, const Tensor& input, float tol) {
   Tensor x = input;
   for (Parameter* p : layer->Params()) p->ZeroGrad();
-  Tensor y = layer->Forward(x);
-  Tensor grad_in = layer->Backward(ObjectiveGrad(y));
+  Tape tape;
+  Tensor y = layer->Forward(x, &tape);
+  ExpectBitwiseEqual(y, layer->Forward(x));
+  Tensor grad_in = layer->Backward(ObjectiveGrad(y), tape);
   ASSERT_EQ(grad_in.shape(), x.shape());
 
   const float eps = 1e-3f;
@@ -185,11 +197,13 @@ TEST(Conv2dTest, ForwardAttributesFlops) {
 TEST(ReLUTest, ForwardAndGradient) {
   ReLU relu;
   Tensor x(Shape{1, 4}, std::vector<float>{-1.0f, 0.0f, 2.0f, -3.0f});
-  Tensor y = relu.Forward(x);
+  Tape tape;
+  Tensor y = relu.Forward(x, &tape);
+  ExpectBitwiseEqual(y, relu.Forward(x));
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
   Tensor g(Shape{1, 4}, std::vector<float>{1.0f, 1.0f, 1.0f, 1.0f});
-  Tensor gx = relu.Backward(g);
+  Tensor gx = relu.Backward(g, tape);
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[2], 1.0f);
 }
@@ -212,9 +226,11 @@ TEST(FlattenTest, RoundTrip) {
   Flatten flatten;
   Rng rng(8);
   Tensor x = RandomTensor(Shape{2, 3, 4, 4}, &rng);
-  Tensor y = flatten.Forward(x);
+  Tape tape;
+  Tensor y = flatten.Forward(x, &tape);
+  ExpectBitwiseEqual(y, flatten.Forward(x));
   EXPECT_EQ(y.shape(), (Shape{2, 48}));
-  Tensor back = flatten.Backward(y);
+  Tensor back = flatten.Backward(y, tape);
   EXPECT_EQ(back.shape(), x.shape());
   for (int64_t i = 0; i < x.size(); ++i) EXPECT_EQ(back[i], x[i]);
 }
@@ -222,14 +238,16 @@ TEST(FlattenTest, RoundTrip) {
 TEST(Upsample2xTest, ForwardValuesAndBackwardSums) {
   Upsample2x up;
   Tensor x(Shape{1, 1, 2, 2}, std::vector<float>{1, 2, 3, 4});
-  Tensor y = up.Forward(x);
+  Tape tape;
+  Tensor y = up.Forward(x, &tape);
+  ExpectBitwiseEqual(y, up.Forward(x));
   EXPECT_EQ(y.shape(), (Shape{1, 1, 4, 4}));
   EXPECT_FLOAT_EQ(y.At4(0, 0, 0, 0), 1.0f);
   EXPECT_FLOAT_EQ(y.At4(0, 0, 0, 1), 1.0f);
   EXPECT_FLOAT_EQ(y.At4(0, 0, 1, 1), 1.0f);
   EXPECT_FLOAT_EQ(y.At4(0, 0, 3, 3), 4.0f);
   Tensor g(Shape{1, 1, 4, 4}, 1.0f);
-  Tensor gx = up.Backward(g);
+  Tensor gx = up.Backward(g, tape);
   EXPECT_FLOAT_EQ(gx.At4(0, 0, 0, 0), 4.0f);
 }
 
@@ -341,9 +359,10 @@ TEST(SgdTest, ConvergesOnLinearRegression) {
       y[i] = 3.0f * xv - 1.0f;
     }
     opt.ZeroGrad();
-    Tensor pred = net.Forward(x);
+    Tape tape;
+    Tensor pred = net.Forward(x, &tape);
     LossResult r = MeanSquaredError(pred, y);
-    net.Backward(r.grad);
+    net.Backward(r.grad, tape);
     opt.Step();
   }
   Parameter* w = net.Params()[0];
@@ -368,9 +387,10 @@ TEST(AdamTest, SolvesXor) {
       x.At2(i, 1) = xs[i][1];
     }
     opt.ZeroGrad();
-    Tensor logits = net.Forward(x);
+    Tape tape;
+    Tensor logits = net.Forward(x, &tape);
     LossResult r = SoftmaxCrossEntropy(logits, labels);
-    net.Backward(r.grad);
+    net.Backward(r.grad, tape);
     opt.Step();
   }
   Tensor x(Shape{4, 2});
@@ -417,9 +437,10 @@ TEST(AdamTest, ConvNetLearnsBrightVsDark) {
     std::vector<int> labels;
     make_batch(16, &x, &labels);
     opt.ZeroGrad();
-    Tensor logits = net.Forward(x);
+    Tape tape;
+    Tensor logits = net.Forward(x, &tape);
     LossResult r = SoftmaxCrossEntropy(logits, labels);
-    net.Backward(r.grad);
+    net.Backward(r.grad, tape);
     opt.Step();
   }
   Tensor x;

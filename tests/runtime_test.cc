@@ -1,15 +1,19 @@
 // Tests for the parallel runtime: pool lifecycle, work-sharing loops,
 // nested-region safety, exception propagation out of workers, and the
 // determinism contract — parallel kernel/VAE results are bit-identical
-// to VDRIFT_THREADS=1.
+// to VDRIFT_THREADS=1, and one model object serves concurrent callers.
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/point_set.h"
+#include "core/profile.h"
+#include "detect/image_classifier.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "runtime/parallel.h"
@@ -200,9 +204,10 @@ ConvRun RunConv(int threads) {
   nn::Conv2d conv(3, 8, 3, 2, 1, &rng);
   Tensor input = RandomTensor(Shape{4, 3, 16, 16}, &rng);
   ConvRun run;
-  run.forward = conv.Forward(input);
+  nn::Tape tape;
+  run.forward = conv.Forward(input, &tape);
   Tensor grad_out(run.forward.shape(), 0.5f);
-  run.grad_input = conv.Backward(grad_out);
+  run.grad_input = conv.Backward(grad_out, tape);
   run.weight_grad = conv.Params()[0]->grad;
   run.bias_grad = conv.Params()[1]->grad;
   return run;
@@ -271,6 +276,69 @@ TEST(DeterminismTest, VaeEpochBitIdenticalAcrossThreadCounts) {
   for (size_t i = 0; i < serial.params.size(); ++i) {
     EXPECT_TRUE(BitIdentical(serial.params[i], parallel.params[i]))
         << "param " << i;
+  }
+}
+
+constexpr int kSharedFrames = 64;
+
+// What each frame yields from the shared models.
+struct SharedModelOutputs {
+  using Rows = std::vector<std::vector<float>>;
+  Rows proba = Rows(kSharedFrames);
+  std::vector<int> labels = std::vector<int>(kSharedFrames);
+  Rows latents = Rows(kSharedFrames);
+};
+
+TEST(DeterminismTest, SharedModelsServeConcurrentCallersBitIdentically) {
+  // Inference is const: one classifier and one profile (VAE) are run by
+  // every worker at once, with no copies, and each frame's outputs match
+  // a serial loop bit for bit.
+  Rng rng(31);
+  const detect::ImageClassifier classifier(detect::ClassifierConfig{}, &rng);
+  auto vae = std::make_shared<vae::Vae>(vae::VaeConfig{}, &rng);
+  std::vector<std::vector<float>> points;
+  for (int i = 0; i < 12; ++i) {
+    points.push_back(vae->EncodeSample(RandomTensor(Shape{1, 32, 32}, &rng),
+                                       &rng));
+  }
+  const conformal::DistributionProfile profile(
+      "shared", vae, conformal::PointSet::Build(points, 5).ValueOrDie());
+  std::vector<Tensor> frames;
+  for (int i = 0; i < kSharedFrames; ++i) {
+    frames.push_back(RandomTensor(Shape{1, 32, 32}, &rng));
+  }
+  auto serve_frame = [&](int64_t i, SharedModelOutputs* out) {
+    const size_t slot = static_cast<size_t>(i);
+    Rng frame_rng(1000 + static_cast<uint64_t>(i));
+    out->proba[slot] = classifier.PredictProba(frames[slot]);
+    out->labels[slot] = classifier.Predict(frames[slot]);
+    out->latents[slot] = profile.EncodeSampled(frames[slot], &frame_rng);
+  };
+  SharedModelOutputs serial;
+  {
+    ScopedThreads scope(1);
+    for (int64_t i = 0; i < kSharedFrames; ++i) serve_frame(i, &serial);
+  }
+  SharedModelOutputs parallel;
+  {
+    ScopedThreads scope(4);
+    ParallelFor(0, kSharedFrames, 1, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) serve_frame(i, &parallel);
+    });
+  }
+  EXPECT_EQ(parallel.labels, serial.labels);
+  for (size_t i = 0; i < kSharedFrames; ++i) {
+    ASSERT_EQ(parallel.proba[i].size(), serial.proba[i].size());
+    EXPECT_EQ(std::memcmp(parallel.proba[i].data(), serial.proba[i].data(),
+                          serial.proba[i].size() * sizeof(float)),
+              0)
+        << "frame " << i;
+    ASSERT_EQ(parallel.latents[i].size(), serial.latents[i].size());
+    EXPECT_EQ(std::memcmp(parallel.latents[i].data(),
+                          serial.latents[i].data(),
+                          serial.latents[i].size() * sizeof(float)),
+              0)
+        << "frame " << i;
   }
 }
 

@@ -28,10 +28,10 @@ using stats::Rng;
 class FakeClassifier : public nn::ProbabilisticClassifier {
  public:
   FakeClassifier(std::vector<float> proba) : proba_(std::move(proba)) {}
-  std::vector<float> PredictProba(const tensor::Tensor&) override {
+  std::vector<float> PredictProba(const tensor::Tensor&) const override {
     return proba_;
   }
-  int Predict(const tensor::Tensor& frame) override {
+  int Predict(const tensor::Tensor& frame) const override {
     std::vector<float> p = PredictProba(frame);
     return static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin());
   }

@@ -1,6 +1,6 @@
 // Fleet serving integration tests: N-stream determinism across thread
 // counts, per-stream fault isolation, cross-stream model adoption through
-// the shared copy-on-write registry, crash-drill recovery, and the
+// the shared copy-on-write registry, shard-kill recovery, and the
 // frame-accounting books every stream must balance.
 
 #include <sys/stat.h>
@@ -260,7 +260,8 @@ TEST_F(FleetFixture, CrashDrillRestoresAShardBitIdentically) {
   options.max_concurrent = 3;
   options.checkpoint_dir = dir;
   FleetRun baseline = RunTokyoFleet(options, 3);
-  options.crash_drills.push_back({"s1", 2});
+  options.chaos.events.push_back(
+      {fault::ChaosKind::kKillShard, /*round=*/2, "s1"});
   FleetRun drilled = RunTokyoFleet(options, 3);
   ASSERT_EQ(drilled.report.streams.size(), 3u);
   EXPECT_EQ(drilled.report.shard_restarts, 1);
@@ -350,7 +351,7 @@ TEST(FleetCowTest, ModelTrainedForOneStreamServesAnother) {
   EXPECT_GE(fleet.published().FindByName("a.learned-0"), 0);
 }
 
-// --- Wiring, publication semantics, and clone invariants. ---
+// --- Wiring, publication semantics, and model sharing. ---
 
 class FleetWiringTest : public ::testing::Test {
  protected:
@@ -410,23 +411,11 @@ TEST_F(FleetWiringTest, RejectsBadWiring) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(FleetWiringTest, CrashDrillAgainstUnknownStreamIsAnError) {
-  video::SyntheticDataset ds = video::MakeBddSynthetic(0.002);
-  video::StreamGenerator stream = ds.MakeStream();
-  FleetOptions options;
-  options.pipeline.provision = benchutil::DefaultWorkbenchOptions().provision;
-  options.crash_drills.push_back({"ghost", 1});
-  DriftFleet fleet(options);
-  ASSERT_TRUE(fleet.AddBaseModel(*day_, *sample_).ok());
-  ASSERT_TRUE(fleet.AddStream({"s0", &stream, nullptr}).ok());
-  EXPECT_EQ(fleet.Run().status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST_F(FleetWiringTest, CowRegistryPublishesAtomicSnapshots) {
   select::CowModelRegistry cow;
   EXPECT_EQ(cow.size(), 0);
   select::CowModelRegistry::Snapshot before = cow.TakeSnapshot();
-  ASSERT_TRUE(cow.Publish(*day_, *sample_).ValueOrDie());
+  ASSERT_TRUE(cow.Publish(*day_, *sample_));
   // The old snapshot is immutable; a fresh one sees the publication.
   EXPECT_TRUE(before->empty());
   select::CowModelRegistry::Snapshot after = cow.TakeSnapshot();
@@ -435,7 +424,7 @@ TEST_F(FleetWiringTest, CowRegistryPublishesAtomicSnapshots) {
   EXPECT_EQ(cow.FindByName("Day"), 0);
   EXPECT_EQ(cow.FindByName("Night"), -1);
   // First writer wins: a second "Day" publishes nothing.
-  EXPECT_FALSE(cow.Publish(*day_, *sample_).ValueOrDie());
+  EXPECT_FALSE(cow.Publish(*day_, *sample_));
   EXPECT_EQ(cow.size(), 1);
 }
 
@@ -516,10 +505,10 @@ class StubClassifier : public nn::ProbabilisticClassifier {
  public:
   explicit StubClassifier(std::vector<float> probs)
       : probs_(std::move(probs)) {}
-  std::vector<float> PredictProba(const tensor::Tensor&) override {
+  std::vector<float> PredictProba(const tensor::Tensor&) const override {
     return probs_;
   }
-  int Predict(const tensor::Tensor&) override {
+  int Predict(const tensor::Tensor&) const override {
     int best = 0;
     for (int c = 1; c < static_cast<int>(probs_.size()); ++c) {
       if (probs_[static_cast<size_t>(c)] > probs_[static_cast<size_t>(best)]) {
@@ -713,8 +702,10 @@ TEST_F(FleetFixture, ExhaustedRestartBudgetQuarantinesWithExactBooks) {
   FleetRun baseline = RunTokyoFleet(options, 3);
   // Two kills against s1: the first consumes the whole restart budget,
   // the second quarantines the shard.
-  options.crash_drills.push_back({"s1", 2});
-  options.crash_drills.push_back({"s1", 4});
+  options.chaos.events.push_back(
+      {fault::ChaosKind::kKillShard, /*round=*/2, "s1"});
+  options.chaos.events.push_back(
+      {fault::ChaosKind::kKillShard, /*round=*/4, "s1"});
   FleetRun drilled = RunTokyoFleet(options, 3);
   ASSERT_EQ(drilled.report.streams.size(), 3u);
   const StreamReport& q = drilled.report.streams[1];
@@ -756,48 +747,90 @@ TEST_F(FleetFixture, ExhaustedRestartBudgetQuarantinesWithExactBooks) {
             q.quarantined_frames);
 }
 
-TEST(FleetGateTest, BelowMarginModelNeverReachesTheSharedRegistry) {
-  // The FleetCowTest scenario with the gate margin forced impossible:
-  // accuracy <= 1 can never reach incumbent + 2, so every trained model is
-  // rejected at the barrier. "b" then cannot adopt a's model and must
-  // train its own — and the shared registry never grows.
-  stats::Rng rng(77);
-  video::SyntheticDataset ds = video::MakeTokyoSynthetic(0.004);
-  video::SceneSpec sparse = ds.SpecOf("Angle 1");
-  sparse.name = "Sparse";
-  sparse.object_rate_mean = 1.5;
-  sparse.object_rate_std = 1.0;
-  video::SceneSpec dense = sparse;
-  dense.name = "Dense";
-  dense.object_rate_mean = 14.0;
-  dense.object_rate_std = 2.0;
-  pipeline::ProvisionOptions provision =
-      benchutil::DefaultWorkbenchOptions().provision;
-  provision.classifier_train.epochs = 8;
-  std::vector<video::Frame> sparse_frames =
-      video::GenerateFrames(sparse, 200, 32, 500);
-  select::ModelEntry base =
-      pipeline::ProvisionModel("Sparse", sparse_frames, provision, &rng)
-          .ValueOrDie();
-  std::vector<select::LabeledFrame> sparse_sample =
-      pipeline::MakeLabeledSample(sparse_frames, 8, 24, &rng);
+// The FleetCowTest scenario with the gate margin forced impossible:
+// accuracy <= 1 can never reach incumbent + 2, so every trained model is
+// rejected at the barrier. Stream "a" (380 frames) drifts first and trains
+// a model; "b" then cannot adopt it and must train its own.
+struct GateRun {
+  FleetReport report;
+  std::shared_ptr<obs::MetricsRegistry> registry;
+  select::CowModelRegistry::Snapshot published;
+};
 
+// The scenario's scenes and base model, provisioned once per process:
+// models are immutable at serving time, so every run shares them.
+struct GateInputs {
+  video::SceneSpec sparse;
+  video::SceneSpec dense;
+  pipeline::ProvisionOptions provision;
+  select::ModelEntry base;
+  std::vector<select::LabeledFrame> sample;
+};
+
+const GateInputs& GetGateInputs() {
+  static const GateInputs* const inputs = [] {
+    auto* in = new GateInputs();
+    stats::Rng rng(77);
+    video::SyntheticDataset ds = video::MakeTokyoSynthetic(0.004);
+    in->sparse = ds.SpecOf("Angle 1");
+    in->sparse.name = "Sparse";
+    in->sparse.object_rate_mean = 1.5;
+    in->sparse.object_rate_std = 1.0;
+    in->dense = in->sparse;
+    in->dense.name = "Dense";
+    in->dense.object_rate_mean = 14.0;
+    in->dense.object_rate_std = 2.0;
+    in->provision = benchutil::DefaultWorkbenchOptions().provision;
+    in->provision.classifier_train.epochs = 8;
+    std::vector<video::Frame> sparse_frames =
+        video::GenerateFrames(in->sparse, 200, 32, 500);
+    in->base = pipeline::ProvisionModel("Sparse", sparse_frames,
+                                        in->provision, &rng)
+                   .ValueOrDie();
+    in->sample = pipeline::MakeLabeledSample(sparse_frames, 8, 24, &rng);
+    return in;
+  }();
+  return *inputs;
+}
+
+GateRun RunGateScenario(const std::string& checkpoint_dir,
+                        const std::vector<fault::ChaosEvent>& chaos) {
+  const GateInputs& in = GetGateInputs();
   FleetOptions options;
   options.pipeline.selector = pipeline::PipelineConfig::Selector::kMsbo;
-  options.pipeline.provision = provision;
+  options.pipeline.provision = in.provision;
   options.pipeline.allow_training_new = true;
   options.pipeline.new_model_window = 80;
   options.slice_frames = 64;
   options.max_concurrent = 2;
   options.publication_gate.accuracy_margin = -2.0;
+  options.checkpoint_dir = checkpoint_dir;
+  options.chaos.events = chaos;
   DriftFleet fleet(options);
-  ASSERT_TRUE(fleet.AddBaseModel(base, sparse_sample).ok());
-  video::StreamGenerator stream_a({{sparse, 120}, {dense, 260}}, 32, 321);
-  video::StreamGenerator stream_b({{sparse, 320}, {dense, 200}}, 32, 654);
-  ASSERT_TRUE(fleet.AddStream({"a", &stream_a, nullptr}).ok());
-  ASSERT_TRUE(fleet.AddStream({"b", &stream_b, nullptr}).ok());
-  FleetReport report = fleet.Run().ValueOrDie();
+  EXPECT_TRUE(fleet.AddBaseModel(in.base, in.sample).ok());
+  video::StreamGenerator stream_a({{in.sparse, 120}, {in.dense, 260}}, 32,
+                                  321);
+  video::StreamGenerator stream_b({{in.sparse, 320}, {in.dense, 200}}, 32,
+                                  654);
+  EXPECT_TRUE(fleet.AddStream({"a", &stream_a, nullptr}).ok());
+  EXPECT_TRUE(fleet.AddStream({"b", &stream_b, nullptr}).ok());
+  GateRun run;
+  run.report = fleet.Run().ValueOrDie();
+  run.registry = fleet.registry();
+  run.published = fleet.published().TakeSnapshot();
+  return run;
+}
 
+bool IsPublished(const GateRun& run, const std::string& name) {
+  for (const select::PublishedModel& model : *run.published) {
+    if (model.entry.name == name) return true;
+  }
+  return false;
+}
+
+TEST(FleetGateTest, BelowMarginModelNeverReachesTheSharedRegistry) {
+  GateRun run = RunGateScenario("", {});
+  const FleetReport& report = run.report;
   ASSERT_EQ(report.streams.size(), 2u);
   const StreamReport& a = report.streams[0];
   const StreamReport& b = report.streams[1];
@@ -807,16 +840,16 @@ TEST(FleetGateTest, BelowMarginModelNeverReachesTheSharedRegistry) {
   EXPECT_EQ(report.models_published, 0);
   EXPECT_EQ(report.models_adopted, 0);
   EXPECT_GE(report.publish_rejected, 2);
-  EXPECT_EQ(fleet.published().size(), 1);
-  EXPECT_LT(fleet.published().FindByName("a.learned-0"), 0);
-  EXPECT_LT(fleet.published().FindByName("b.learned-0"), 0);
+  EXPECT_EQ(run.published->size(), 1u);
+  EXPECT_FALSE(IsPublished(run, "a.learned-0"));
+  EXPECT_FALSE(IsPublished(run, "b.learned-0"));
   // The rejected model stays private to its shard: a still serves with it.
   ASSERT_FALSE(a.metrics.selections.empty());
   EXPECT_EQ(a.metrics.selections[0], "a.learned-0");
   ASSERT_FALSE(b.metrics.selections.empty());
   EXPECT_EQ(b.metrics.selections[0], "b.learned-0");
   // Rejection counters: the {reason=...} series sum to the aggregate.
-  obs::MetricsRegistry& reg = *fleet.registry();
+  obs::MetricsRegistry& reg = *run.registry;
   const int64_t unlabeled =
       reg.GetCounter("vdrift.serve.publish_rejected").value();
   EXPECT_EQ(unlabeled, report.publish_rejected);
@@ -832,6 +865,65 @@ TEST(FleetGateTest, BelowMarginModelNeverReachesTheSharedRegistry) {
                            {{"reason", "below_margin"}})
                 .value(),
             2);
+}
+
+TEST(FleetGateTest, GateRejectedModelSurvivesAShardRebuild) {
+  // a's checkpoint names its own gate-rejected model, which exists in no
+  // shared registry. Killing a after that checkpoint must resume it from
+  // the checkpoint (the shard keeps its rejected models), not cold-start
+  // it from frame 0 and retrain.
+  std::string dir = ::testing::TempDir() + "/vdrift_fleet_gate_ckpt";
+  ::mkdir(dir.c_str(), 0755);
+  GateRun uncrashed;
+  {
+    runtime::ScopedThreads scoped(1);
+    uncrashed = RunGateScenario(dir, {});
+  }
+  const StreamReport& x = uncrashed.report.streams[0];
+  ASSERT_EQ(x.label, "a");
+  ASSERT_EQ(x.frames, 380);
+  for (int threads : {1, 4}) {
+    runtime::ScopedThreads scoped(threads);
+    GateRun crashed = RunGateScenario(
+        dir, {{fault::ChaosKind::kKillShard, /*round=*/5, "a"}});
+    ASSERT_EQ(crashed.report.streams.size(), 2u);
+    EXPECT_EQ(crashed.report.shard_restarts, 1) << threads;
+    const StreamReport& y = crashed.report.streams[0];
+    EXPECT_EQ(y.restarts, 1) << threads;
+    EXPECT_TRUE(y.status.ok()) << threads;
+    // Three-way frame identity: no replayed frame in the labeled counter.
+    EXPECT_EQ(crashed.registry
+                  ->GetCounter("vdrift.pipeline.frames", {{"stream", "a"}})
+                  .value(),
+              y.frames)
+        << threads;
+    EXPECT_EQ(y.frames, 380) << threads;
+    // Bit-identical to the run that never crashed: same detections,
+    // selections, lags and accuracy books, and no retraining.
+    EXPECT_EQ(y.metrics.frames, x.metrics.frames) << threads;
+    EXPECT_EQ(y.metrics.new_models_trained, 1) << threads;
+    EXPECT_EQ(y.metrics.drift_frames, x.metrics.drift_frames) << threads;
+    EXPECT_EQ(y.metrics.detect_lags, x.metrics.detect_lags) << threads;
+    EXPECT_EQ(y.metrics.selections, x.metrics.selections) << threads;
+    EXPECT_EQ(y.metrics.selection_invocations,
+              x.metrics.selection_invocations)
+        << threads;
+    ASSERT_EQ(y.metrics.per_sequence.size(), x.metrics.per_sequence.size());
+    for (const auto& [seq, acc] : x.metrics.per_sequence) {
+      EXPECT_EQ(y.metrics.per_sequence.at(seq).count_correct,
+                acc.count_correct)
+          << threads;
+      EXPECT_EQ(y.metrics.per_sequence.at(seq).count_total, acc.count_total)
+          << threads;
+    }
+    // The other stream never notices.
+    EXPECT_EQ(crashed.report.streams[1].frames,
+              uncrashed.report.streams[1].frames);
+    EXPECT_EQ(crashed.report.streams[1].metrics.selections,
+              uncrashed.report.streams[1].metrics.selections);
+    EXPECT_EQ(crashed.report.publish_rejected,
+              uncrashed.report.publish_rejected);
+  }
 }
 
 TEST_F(FleetFixture, ChaosCampaignResumesBitIdenticallyAcrossThreads) {
@@ -983,18 +1075,28 @@ TEST_F(FleetWiringTest, ChaosAgainstUnknownStreamIsAnError) {
   EXPECT_EQ(fleet.Run().status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(FleetWiringTest, CloneModelEntrySharesNothingButPreservesAliasing) {
-  select::ModelEntry clone =
-      select::CloneModelEntry(*day_).ValueOrDie();
-  EXPECT_EQ(clone.name, day_->name);
-  // Deep copies throughout: no mutable state shared with the source.
-  EXPECT_NE(clone.profile.get(), day_->profile.get());
-  EXPECT_NE(clone.ensemble.get(), day_->ensemble.get());
-  EXPECT_NE(clone.count_model.get(), day_->count_model.get());
-  // Provisioning deploys ensemble member 0 as the count model; the clone
-  // must alias its *own* member the same way, not the source's.
-  ASSERT_EQ(day_->count_model.get(), day_->ensemble->member(0).get());
-  EXPECT_EQ(clone.count_model.get(), clone.ensemble->member(0).get());
+TEST_F(FleetWiringTest, PublishedEntriesShareTheCallersModels) {
+  // Models are immutable at serving time, so publication stores the
+  // caller's own objects: no copy anywhere between the provisioner, the
+  // shared registry and the shards that run it.
+  video::SyntheticDataset ds = video::MakeBddSynthetic(0.002);
+  video::StreamGenerator stream = ds.MakeStream();
+  FleetOptions options;
+  options.pipeline.provision = benchutil::DefaultWorkbenchOptions().provision;
+  DriftFleet fleet(options);
+  ASSERT_TRUE(fleet.AddBaseModel(*day_, *sample_).ok());
+  ASSERT_TRUE(fleet.AddStream({"s0", &stream, nullptr}).ok());
+  select::CowModelRegistry cow;
+  ASSERT_TRUE(cow.Publish(*day_, *sample_));
+  for (const select::CowModelRegistry::Snapshot& snapshot :
+       {fleet.published().TakeSnapshot(), cow.TakeSnapshot()}) {
+    ASSERT_EQ(snapshot->size(), 1u);
+    const select::ModelEntry& stored = (*snapshot)[0].entry;
+    EXPECT_EQ(stored.count_model.get(), day_->count_model.get());
+    EXPECT_EQ(stored.ensemble.get(), day_->ensemble.get());
+    EXPECT_EQ(stored.profile.get(), day_->profile.get());
+    EXPECT_EQ(stored.predicate_model.get(), day_->predicate_model.get());
+  }
 }
 
 }  // namespace
