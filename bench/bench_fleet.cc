@@ -30,6 +30,7 @@
 #include "benchutil/metrics_report.h"
 #include "benchutil/table.h"
 #include "benchutil/workbench.h"
+#include "common/env.h"
 #include "fault/chaos.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
@@ -50,10 +51,10 @@ int main(int argc, char** argv) {
   auto bench = benchutil::BuildWorkbench("Tokyo", options).ValueOrDie();
 
   std::vector<fault::StreamFaultPlan> fault_plans;
-  const char* fault_env = std::getenv("VDRIFT_FLEET_FAULT_SPEC");
-  if (fault_env != nullptr && fault_env[0] != '\0') {
+  const std::string fault_env = EnvString("VDRIFT_FLEET_FAULT_SPEC");
+  if (!fault_env.empty()) {
     fault_plans = fault::ParsePerStreamFaultSpec(fault_env).ValueOrDie();
-    std::printf("  [fault] per-stream spec armed: %s\n", fault_env);
+    std::printf("  [fault] per-stream spec armed: %s\n", fault_env.c_str());
   }
 
   std::vector<int> fleet_sizes =
@@ -74,18 +75,15 @@ int main(int argc, char** argv) {
     fleet_options.max_concurrent = 4;
     fleet_options.sample_interval_rounds = 2;
     fleet_options.slo_spec = "default";
-    const char* ckpt_dir = std::getenv("VDRIFT_FLEET_CHECKPOINT_DIR");
-    if (ckpt_dir != nullptr && ckpt_dir[0] != '\0') {
-      fleet_options.checkpoint_dir = ckpt_dir;
-    }
+    fleet_options.checkpoint_dir = EnvString("VDRIFT_FLEET_CHECKPOINT_DIR");
     fleet_options.ApplyEnv();
-    const char* chaos_env = std::getenv("VDRIFT_FLEET_CHAOS_SEED");
-    if (chaos_env != nullptr && chaos_env[0] != '\0') {
+    const int64_t chaos_seed =
+        EnvInt("VDRIFT_FLEET_CHAOS_SEED", 0, INT64_MAX, -1);
+    if (chaos_seed >= 0) {
       std::vector<std::string> labels;
       for (int i = 0; i < n; ++i) labels.push_back("s" + std::to_string(i));
       fleet_options.chaos = fault::ChaosPlan::FromSeed(
-          std::strtoull(chaos_env, nullptr, 10), labels,
-          /*horizon_rounds=*/16);
+          static_cast<uint64_t>(chaos_seed), labels, /*horizon_rounds=*/16);
       std::printf("  [chaos] campaign armed: %s\n",
                   fleet_options.chaos.ToString().c_str());
     }
@@ -155,10 +153,9 @@ int main(int argc, char** argv) {
   table.Print();
   harness.SetPrimaryStage("tokyo.fleet" +
                           std::to_string(fleet_sizes.back()) + ".total");
-  harness.SetLabel("dataset", "Tokyo");
   if (last_registry != nullptr) {
     benchutil::EmitMetricsJson(*last_registry, nullptr, last_watchdog.get(),
-                               "BENCH_fleet_serving_metrics.json");
+                               "metrics_fleet_serving.json");
     benchutil::EmitOpenMetrics(*last_registry);
   }
   harness.WriteReport();

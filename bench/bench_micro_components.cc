@@ -5,8 +5,8 @@
 // and ensemble Brier evaluation.
 //
 // Runs on the BenchHarness: each component is a stage of per-call latency
-// samples (VDRIFT_BENCH_REPEATS scales how many), reported with
-// p50/p90/p99 and fps in BENCH_micro_components.json.
+// samples (VDRIFT_BENCH_REPEATS scales how many), recorded with
+// p50/p90/p99 in the run ledger.
 
 #include <memory>
 #include <string>
@@ -70,7 +70,6 @@ int main() {
     dataset = harness.config().dataset_filter;
   }
   auto bench = benchutil::BuildWorkbench(dataset, options).ValueOrDie();
-  harness.SetLabel("dataset", dataset);
 
   video::Frame frame = video::GenerateFrames(bench->dataset.segments[0].spec,
                                              1, bench->dataset.image_size,

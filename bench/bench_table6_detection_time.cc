@@ -10,8 +10,8 @@
 // DI at least ~2x faster. Absolute numbers differ on CPU; the ratio is
 // the reproduced shape.
 //
-// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,JSON} steer
-// the run and a BENCH_table6_detection_time.json report is written;
+// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,LEDGER} steer
+// the run and one record is appended to the run ledger;
 // VDRIFT_METRICS_JSON overrides the metrics report path. A drift-aware
 // pipeline pass over the last dataset is appended when any of the deeper
 // observability surfaces is armed:

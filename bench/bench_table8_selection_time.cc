@@ -7,8 +7,8 @@
 // magnitude faster overall. Absolute values differ at CPU scale; the
 // orders-of-magnitude gap is the reproduced shape.
 //
-// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,JSON} steer
-// the run and a BENCH_table8_selection_time.json report is written;
+// Runs on the BenchHarness: VDRIFT_BENCH_{SMOKE,DATASET,SEED,LEDGER} steer
+// the run and one record is appended to the run ledger;
 // VDRIFT_METRICS_JSON overrides the metrics report path.
 
 #include <cstdio>
@@ -64,8 +64,11 @@ int main() {
     harness.SetPrimaryStage(prefix + ".odin_frame");
 
     // MSBO / MSBI: one selection per drift (m-1 drifts in the stream).
-    select::Msbo msbo(&bench->registry, bench->calibration,
-                      select::MsboConfig{});
+    select::Msbo msbo(
+        &bench->registry,
+        select::CalibrateMsbo(bench->registry, bench->calibration_samples)
+            .ValueOrDie(),
+        select::MsboConfig{});
     select::Msbi msbi(&bench->registry, select::MsbiConfig{});
     for (int target = 1; target < m; ++target) {
       std::vector<video::Frame> window = video::GenerateFrames(

@@ -1,14 +1,13 @@
 #include "benchutil/bench_harness.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
-#include <fstream>
 
+#include "common/env.h"
 #include "common/logging.h"
-#include "obs/json.h"
 #include "obs/timer.h"
 #include "obs/trace_log.h"
+#include "runtime/parallel.h"
 
 namespace vdrift::benchutil {
 
@@ -19,32 +18,6 @@ namespace {
 /// timings through RecordStageSeconds — the summary histogram stays
 /// exact, the raw tail is dropped.
 constexpr size_t kMaxRawSamplesPerStage = 4096;
-
-bool EnvFlagSet(const char* name) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): bench env-knob chokepoint
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' &&
-         std::string(value) != "0";
-}
-
-long EnvLongOr(const char* name, long fallback) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): bench env-knob chokepoint
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(value, &end, 10);
-  if (end == value) {
-    VDRIFT_LOG_WARNING << "ignoring unparsable " << name << "=" << value;
-    return fallback;
-  }
-  return parsed;
-}
-
-std::string EnvStringOr(const char* name, const std::string& fallback) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): bench env-knob chokepoint
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' ? value : fallback;
-}
 
 void MergeSnapshot(obs::Histogram::Snapshot* into,
                    const obs::Histogram::Snapshot& from) {
@@ -98,7 +71,7 @@ double HeadlineThroughput(
 }  // namespace
 
 std::string GitRevision() {
-  std::string rev = EnvStringOr("VDRIFT_GIT_REV", "");
+  std::string rev = EnvString("VDRIFT_GIT_REV");
   if (!rev.empty()) return rev;
   FILE* pipe = ::popen("git rev-parse --short=12 HEAD 2>/dev/null", "r");
   if (pipe != nullptr) {
@@ -116,7 +89,7 @@ std::string GitRevision() {
 
 BenchHarness::BenchHarness(const std::string& name) {
   config_.name = name;
-  config_.smoke = EnvFlagSet("VDRIFT_BENCH_SMOKE");
+  config_.smoke = EnvFlag("VDRIFT_BENCH_SMOKE");
   if (config_.smoke) {
     // Smoke mode is a liveness gate for CI, not a measurement: one pass,
     // no warmup, and the smallest dataset unless told otherwise.
@@ -125,27 +98,24 @@ BenchHarness::BenchHarness(const std::string& name) {
     config_.dataset_filter = "Tokyo";
   }
   config_.repeats = static_cast<int>(
-      EnvLongOr("VDRIFT_BENCH_REPEATS", config_.repeats));
-  if (config_.repeats < 1) config_.repeats = 1;
+      EnvInt("VDRIFT_BENCH_REPEATS", 1, 1 << 20, config_.repeats));
   config_.warmup = static_cast<int>(
-      EnvLongOr("VDRIFT_BENCH_WARMUP", config_.warmup));
-  if (config_.warmup < 0) config_.warmup = 0;
-  config_.seed = static_cast<uint64_t>(EnvLongOr(
-      "VDRIFT_BENCH_SEED", static_cast<long>(config_.seed)));
-  config_.dataset_filter =
-      EnvStringOr("VDRIFT_BENCH_DATASET", config_.dataset_filter);
-  config_.json_path =
-      EnvStringOr("VDRIFT_BENCH_JSON", "BENCH_" + name + ".json");
-  std::string ledger = EnvStringOr("VDRIFT_BENCH_LEDGER", "");
-  if (!ledger.empty()) {
-    // A .jsonl path is the ledger file itself; anything else is a
-    // directory holding one ledger per bench.
-    const std::string suffix = ".jsonl";
-    bool is_file = ledger.size() > suffix.size() &&
-                   ledger.compare(ledger.size() - suffix.size(),
-                                  suffix.size(), suffix) == 0;
-    config_.ledger_path = is_file ? ledger : ledger + "/" + name + ".jsonl";
+      EnvInt("VDRIFT_BENCH_WARMUP", 0, 1 << 20, config_.warmup));
+  config_.seed = static_cast<uint64_t>(EnvInt(
+      "VDRIFT_BENCH_SEED", 0, INT64_MAX, static_cast<int64_t>(config_.seed)));
+  if (std::string dataset = EnvString("VDRIFT_BENCH_DATASET");
+      !dataset.empty()) {
+    config_.dataset_filter = dataset;
   }
+  std::string ledger = EnvString("VDRIFT_BENCH_LEDGER");
+  if (ledger.empty()) ledger = "bench/ledger";
+  // A .jsonl path is the ledger file itself; anything else is a directory
+  // holding one ledger per bench.
+  const std::string suffix = ".jsonl";
+  bool is_file = ledger.size() > suffix.size() &&
+                 ledger.compare(ledger.size() - suffix.size(), suffix.size(),
+                                suffix) == 0;
+  config_.ledger_path = is_file ? ledger : ledger + "/" + name + ".jsonl";
 }
 
 bool BenchHarness::ShouldRunDataset(const std::string& dataset) const {
@@ -198,11 +168,6 @@ void BenchHarness::ImportStage(const std::string& stage,
   MergeSnapshot(&imported_[stage], snapshot);
 }
 
-void BenchHarness::SetLabel(const std::string& key,
-                            const std::string& value) {
-  labels_[key] = value;
-}
-
 void BenchHarness::SetPrimaryStage(const std::string& stage) {
   primary_stage_ = stage;
 }
@@ -233,106 +198,6 @@ const std::vector<double>& BenchHarness::StageSamples(
   return it == samples_.end() ? kEmpty : it->second;
 }
 
-std::string BenchHarness::ReportJson() const {
-  std::map<std::string, obs::Histogram::Snapshot> stages = MergedStages();
-
-  auto global_counters = obs::Global().Counters();
-  int64_t flops_total = 0;
-  int64_t bytes_total = 0;
-  for (const auto& [name, value] : global_counters) {
-    if (name.rfind("vdrift.ops.", 0) != 0) continue;
-    if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".flops") == 0) {
-      flops_total += value;
-    } else if (name.size() >= 6 &&
-               name.compare(name.size() - 6, 6, ".bytes") == 0) {
-      bytes_total += value;
-    }
-  }
-
-  double throughput =
-      HeadlineThroughput(stages, primary_stage_, throughput_override_);
-
-  std::string out = "{";
-  out += "\"bytes_total\":" + std::to_string(bytes_total);
-  out += ",\"config\":{";
-  out += "\"dataset_filter\":\"" + obs::json::Escape(config_.dataset_filter) +
-         "\"";
-  out += ",\"repeats\":" + std::to_string(config_.repeats);
-  out += ",\"seed\":" + std::to_string(config_.seed);
-  out += std::string(",\"smoke\":") + (config_.smoke ? "true" : "false");
-  out += ",\"warmup\":" + std::to_string(config_.warmup);
-  out += "}";
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : global_counters) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::json::Escape(name) + "\":" + std::to_string(value);
-  }
-  out += "}";
-  out += ",\"flops_total\":" + std::to_string(flops_total);
-  out += ",\"git_rev\":\"" + obs::json::Escape(GitRevision()) + "\"";
-  out += ",\"kernels\":{";
-  first = true;
-  for (const auto& [name, kernel] : CollectKernelStats(obs::Global())) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::json::Escape(name) + "\":{";
-    out += "\"bytes\":" + std::to_string(kernel.bytes);
-    out += ",\"calls\":" + std::to_string(kernel.calls);
-    out += ",\"flops\":" + std::to_string(kernel.flops);
-    out += ",\"seconds\":" + obs::json::FormatDouble(kernel.seconds);
-    out += "}";
-  }
-  out += "}";
-  out += ",\"labels\":{";
-  first = true;
-  for (const auto& [key, value] : labels_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::json::Escape(key) + "\":\"" + obs::json::Escape(value) +
-           "\"";
-  }
-  out += "}";
-  out += ",\"machine\":" + MachineFingerprint::Detect().ToJson();
-  out += ",\"name\":\"" + obs::json::Escape(config_.name) + "\"";
-  out += ",\"stages\":{";
-  first = true;
-  for (const auto& [name, snap] : stages) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + obs::json::Escape(name) + "\":{";
-    out += "\"count\":" + std::to_string(snap.count);
-    out += ",\"fps\":" + obs::json::FormatDouble(StageFps(snap));
-    // Shape keys only exist when the stage recorded something: a 0-count
-    // stage's "p99 = 0" would be indistinguishable from a real 0s p99.
-    if (snap.count > 0) {
-      out += ",\"max\":" + obs::json::FormatDouble(snap.max);
-      out += ",\"mean\":" + obs::json::FormatDouble(snap.Mean());
-      out += ",\"min\":" + obs::json::FormatDouble(snap.min);
-      out += ",\"p50\":" + obs::json::FormatDouble(snap.Quantile(0.50));
-      out += ",\"p90\":" + obs::json::FormatDouble(snap.Quantile(0.90));
-      out += ",\"p99\":" + obs::json::FormatDouble(snap.Quantile(0.99));
-    }
-    // Raw repeat-level wall times, in execution order: the unit the
-    // statistical gate bootstraps over. Absent for histogram-only stages.
-    if (const std::vector<double>& raw = StageSamples(name); !raw.empty()) {
-      out += ",\"samples\":[";
-      for (size_t i = 0; i < raw.size(); ++i) {
-        if (i > 0) out += ",";
-        out += obs::json::FormatDouble(raw[i]);
-      }
-      out += "]";
-    }
-    out += ",\"sum_seconds\":" + obs::json::FormatDouble(snap.sum);
-    out += "}";
-  }
-  out += "}";
-  out += ",\"throughput_fps\":" + obs::json::FormatDouble(throughput);
-  out += "}";
-  return out;
-}
-
 LedgerRecord BenchHarness::MakeLedgerRecord() const {
   LedgerRecord record;
   record.bench = config_.name;
@@ -347,8 +212,7 @@ LedgerRecord BenchHarness::MakeLedgerRecord() const {
   record.env["repeats"] = std::to_string(config_.repeats);
   record.env["seed"] = std::to_string(config_.seed);
   record.env["smoke"] = config_.smoke ? "1" : "0";
-  record.env["threads"] =
-      std::to_string(EnvLongOr("VDRIFT_THREADS", 1));
+  record.env["threads"] = std::to_string(runtime::CurrentPool().threads());
   record.env["warmup"] = std::to_string(config_.warmup);
 
   std::map<std::string, obs::Histogram::Snapshot> stages = MergedStages();
@@ -372,32 +236,14 @@ LedgerRecord BenchHarness::MakeLedgerRecord() const {
 }
 
 std::string BenchHarness::WriteReport() const {
-  std::ofstream out(config_.json_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "bench report not written: cannot open %s\n",
-                 config_.json_path.c_str());
+  Status status = AppendLedgerRecord(config_.ledger_path, MakeLedgerRecord());
+  if (!status.ok()) {
+    std::fprintf(stderr, "bench ledger not appended: %s\n",
+                 status.ToString().c_str());
     return "";
   }
-  out << ReportJson() << "\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "bench report not written: write failed on %s\n",
-                 config_.json_path.c_str());
-    return "";
-  }
-  std::printf("bench report written to %s\n", config_.json_path.c_str());
-  if (!config_.ledger_path.empty()) {
-    Status status = AppendLedgerRecord(config_.ledger_path,
-                                       MakeLedgerRecord());
-    if (status.ok()) {
-      std::printf("bench ledger appended to %s\n",
-                  config_.ledger_path.c_str());
-    } else {
-      std::fprintf(stderr, "bench ledger not appended: %s\n",
-                   status.ToString().c_str());
-    }
-  }
-  return config_.json_path;
+  std::printf("bench ledger appended to %s\n", config_.ledger_path.c_str());
+  return config_.ledger_path;
 }
 
 }  // namespace vdrift::benchutil

@@ -22,10 +22,10 @@ namespace vdrift::benchutil {
 ///   VDRIFT_BENCH_WARMUP   unmeasured warmup repetitions per Repeat() block
 ///   VDRIFT_BENCH_SEED     base RNG seed (also seeds the workbench)
 ///   VDRIFT_BENCH_DATASET  only run datasets whose name matches exactly
-///   VDRIFT_BENCH_JSON     report path (default BENCH_<name>.json in cwd)
 ///   VDRIFT_BENCH_LEDGER   run-ledger sink: a .jsonl file, or a directory
 ///                         (record appends to <dir>/<name>.jsonl). Unset =
-///                         no ledger append.
+///                         the directory bench/ledger under the cwd.
+/// Integer knobs follow common/env.h: a malformed value is fatal.
 struct BenchConfig {
   std::string name;
   int repeats = 5;
@@ -33,8 +33,7 @@ struct BenchConfig {
   uint64_t seed = 9001;
   bool smoke = false;
   std::string dataset_filter;  ///< Empty = run every dataset.
-  std::string json_path;
-  std::string ledger_path;  ///< Resolved ledger file ("" = disabled).
+  std::string ledger_path;     ///< Resolved ledger file.
 };
 
 /// Keeps `value` observable so benchmarked expressions are not dead-code
@@ -44,13 +43,13 @@ inline void DoNotOptimize(const T& value) {
   asm volatile("" : : "g"(&value) : "memory");
 }
 
-/// \brief The unified bench driver behind every BENCH_<name>.json.
+/// \brief The unified bench driver behind every run-ledger record.
 ///
 /// One harness per bench binary. Stages are named latency histograms
-/// (seconds); the report serialises each as count/min/max/mean/p50/p90/p99
-/// plus derived fps, alongside the global op counters (FLOP/byte totals
-/// from the kernel probes), the resolved config and the git revision —
-/// the canonical artifact tools/compare_bench.py diffs between revisions.
+/// (seconds); the ledger record carries each as count/min/max/p50/p90/p99
+/// plus its raw repeat-level samples, alongside the per-kernel op-probe
+/// table, the resolved config, the machine fingerprint and the git
+/// revision — the evidence tools/compare_bench.py diffs between revisions.
 class BenchHarness {
  public:
   explicit BenchHarness(const std::string& name);
@@ -78,26 +77,18 @@ class BenchHarness {
   void ImportStage(const std::string& stage,
                    const obs::Histogram::Snapshot& snapshot);
 
-  /// Free-form string annotations surfaced under "labels" in the report.
-  void SetLabel(const std::string& key, const std::string& value);
-  /// The stage whose fps becomes the report's headline throughput_fps.
+  /// The stage whose fps becomes the record's headline throughput_fps.
   /// Unset => the stage with the highest sample count.
   void SetPrimaryStage(const std::string& stage);
   /// Overrides the derived headline throughput.
   void SetThroughputFps(double fps);
 
-  /// The canonical report (stable, sorted key order at every level).
-  /// Includes the machine fingerprint, per-stage repeat-level "samples"
-  /// arrays and the per-kernel op-probe table — the evidence the
-  /// statistical gate (tools/compare_bench.py) needs.
-  std::string ReportJson() const;
-  /// Writes ReportJson() to config().json_path and prints where it went.
-  /// When config().ledger_path is set (VDRIFT_BENCH_LEDGER), also appends
-  /// this run's LedgerRecord there. Returns the report path (empty on
-  /// failure, with the error printed).
+  /// Appends this run's LedgerRecord to config().ledger_path and prints
+  /// where it went. Returns the ledger path (empty on failure, with the
+  /// error printed).
   std::string WriteReport() const;
 
-  /// This run's ledger record (also what WriteReport appends).
+  /// This run's ledger record (what WriteReport appends).
   LedgerRecord MakeLedgerRecord() const;
 
   /// Raw repeat-level samples recorded for `stage` ([] when the stage was
@@ -113,13 +104,12 @@ class BenchHarness {
   /// Raw per-repeat wall times per stage, in execution order (bounded per
   /// stage; see kMaxRawSamplesPerStage in the .cc).
   std::map<std::string, std::vector<double>> samples_;
-  std::map<std::string, std::string> labels_;
   std::string primary_stage_;
   double throughput_override_ = -1.0;
 };
 
-/// The git revision baked into reports: VDRIFT_GIT_REV when set, otherwise
-/// `git rev-parse --short=12 HEAD`, otherwise "unknown".
+/// The git revision baked into ledger records: VDRIFT_GIT_REV when set,
+/// otherwise `git rev-parse --short=12 HEAD`, otherwise "unknown".
 std::string GitRevision();
 
 }  // namespace vdrift::benchutil

@@ -92,8 +92,7 @@ video::SyntheticDataset MakeDataset(const std::string& dataset_name,
 
 namespace {
 
-Status SaveWorkbench(const Workbench& bench, const WorkbenchOptions& options,
-                     const std::string& path) {
+Status SaveWorkbench(const Workbench& bench, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out.good()) return Status::IoError("cannot open cache for writing");
   WritePod(&out, kCacheMagic);
@@ -296,7 +295,7 @@ Result<std::unique_ptr<Workbench>> BuildWorkbench(
       bench->registry.Add(std::move(entry));
     }
     if (!cache_path.empty()) {
-      Status save = SaveWorkbench(*bench, options, cache_path);
+      Status save = SaveWorkbench(*bench, cache_path);
       if (!save.ok()) {
         VDRIFT_LOG_WARNING << "failed to write model cache: "
                            << save.ToString();
@@ -305,16 +304,14 @@ Result<std::unique_ptr<Workbench>> BuildWorkbench(
   }
   bench->loaded_from_cache = loaded;
 
-  // Calibration samples + MSBO calibration are cheap; always recomputed.
+  // Calibration samples are cheap; always recomputed. The MSBO
+  // calibration over them is left to the callers that need it.
   stats::Rng sample_rng(options.seed + 77);
   for (size_t i = 0; i < bench->training_frames.size(); ++i) {
     bench->calibration_samples.push_back(pipeline::MakeLabeledSample(
         bench->training_frames[i], options.provision.count_classes,
         options.calibration_sample, &sample_rng));
   }
-  VDRIFT_ASSIGN_OR_RETURN(
-      bench->calibration,
-      select::CalibrateMsbo(bench->registry, bench->calibration_samples));
   return bench;
 }
 

@@ -41,8 +41,9 @@ struct Workbench {
   video::SyntheticDataset dataset;
   select::ModelRegistry registry;  ///< One entry per dataset sequence.
   std::vector<std::vector<video::Frame>> training_frames;
+  /// MSBO calibration samples S_Ti; select::CalibrateMsbo turns them into
+  /// the calibration the benches that select with MSBO need.
   std::vector<std::vector<select::LabeledFrame>> calibration_samples;
-  select::MsboCalibration calibration;
   bool loaded_from_cache = false;
 };
 

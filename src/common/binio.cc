@@ -111,6 +111,57 @@ Status BinaryReader::ReadI64Vec(std::vector<int64_t>* v) {
   return Status::OK();
 }
 
+std::string SealEnvelope(std::string_view magic, uint32_t version,
+                         const std::string& payload) {
+  BinaryWriter writer;
+  writer.WriteU32(version);
+  writer.WriteU64(payload.size());
+  std::string bytes(magic);
+  bytes += writer.bytes();
+  bytes += payload;
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return bytes;
+}
+
+Result<std::string> OpenEnvelope(std::string_view magic, uint32_t version,
+                                 const std::string& bytes,
+                                 const std::string& what) {
+  const size_t envelope = magic.size() + 4 + 8 + 4;
+  if (bytes.size() < envelope) {
+    return Status::DataLoss(what + " too short: " +
+                            std::to_string(bytes.size()) + " bytes");
+  }
+  if (std::string_view(bytes).substr(0, magic.size()) != magic) {
+    return Status::DataLoss(what + " magic mismatch");
+  }
+  uint32_t stored_version = 0;
+  uint64_t length = 0;
+  std::memcpy(&stored_version, bytes.data() + magic.size(), 4);
+  std::memcpy(&length, bytes.data() + magic.size() + 4, 8);
+  if (stored_version != version) {
+    return Status::DataLoss(what + " version " +
+                            std::to_string(stored_version) +
+                            " not supported (want " +
+                            std::to_string(version) + ")");
+  }
+  if (length != bytes.size() - envelope) {
+    return Status::DataLoss(what + " length mismatch: header says " +
+                            std::to_string(length) + " payload bytes, have " +
+                            std::to_string(bytes.size() - envelope));
+  }
+  std::string payload = bytes.substr(magic.size() + 4 + 8, length);
+  uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
+  const uint32_t actual_crc = Crc32(payload.data(), payload.size());
+  if (stored_crc != actual_crc) {
+    return Status::DataLoss(what + " CRC mismatch: stored " +
+                            std::to_string(stored_crc) + ", computed " +
+                            std::to_string(actual_crc));
+  }
+  return payload;
+}
+
 Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

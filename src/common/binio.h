@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -86,6 +87,23 @@ class BinaryReader {
   const std::string& bytes_;
   size_t offset_ = 0;
 };
+
+/// \brief The checksummed envelope every on-disk codec wraps its payload in:
+///
+///   magic | u32 version | u64 payload length | payload | u32 CRC-32(payload)
+///
+/// `magic` is the format's tag, written without a terminator ("VDCKPT01"
+/// is 8 bytes, "VDFLEET01" 9).
+std::string SealEnvelope(std::string_view magic, uint32_t version,
+                         const std::string& payload);
+
+/// The payload of an envelope written by SealEnvelope with the same magic
+/// and version. Too short, bad magic, another version, a length mismatch
+/// or a CRC mismatch is kDataLoss; `what` names the format in the message.
+[[nodiscard]] Result<std::string> OpenEnvelope(std::string_view magic,
+                                               uint32_t version,
+                                               const std::string& bytes,
+                                               const std::string& what);
 
 /// Writes `bytes` to `path` atomically AND durably: the data lands in
 /// `path + ".tmp"` first, is fsync'd, renamed over `path` (rename(2)

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdio>
 
+#include "common/env.h"
+
 namespace vdrift {
 namespace {
 
@@ -23,9 +25,9 @@ const char* LevelName(LogLevel level) {
 
 LogLevel LevelFromEnv() {
   LogLevel level = LogLevel::kInfo;
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented log-level knob
-  const char* env = std::getenv("VDRIFT_LOG_LEVEL");
-  if (env != nullptr) ParseLogLevel(env, &level);
+  // Unknown names are ignored, not CHECK-failed: a CHECK here would log
+  // through the logger this is configuring.
+  ParseLogLevel(EnvString("VDRIFT_LOG_LEVEL"), &level);
   return level;
 }
 

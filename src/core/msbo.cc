@@ -26,20 +26,38 @@ Result<MsboCalibration> CalibrateMsbo(
                                         "' has no ensemble");
     }
   }
-  MsboCalibration calibration;
-  calibration.pc_avg.resize(static_cast<size_t>(registry.size()));
-  calibration.sigma.resize(static_cast<size_t>(registry.size()));
-  // Global h (§5.2.2): average foreign-ensemble uncertainty per sample.
-  stats::RunningMoments sample_moments;
-  for (int i = 0; i < registry.size(); ++i) {
-    const std::vector<LabeledFrame>& sample = samples[static_cast<size_t>(i)];
+  for (const std::vector<LabeledFrame>& sample : samples) {
     if (sample.empty()) {
       return Status::InvalidArgument("empty calibration sample");
     }
-    stats::RunningMoments foreign;
-    for (int j = 0; j < registry.size(); ++j) {
+  }
+  const size_t m = static_cast<size_t>(registry.size());
+  // Both statistics below are folds over the same per-frame Brier scores
+  // of each foreign pair (ensemble j, sample i != j): score each pair once.
+  std::vector<std::vector<std::vector<double>>> scores(
+      m, std::vector<std::vector<double>>(m));
+  for (size_t j = 0; j < m; ++j) {
+    const DeepEnsemble& ensemble = *registry.at(static_cast<int>(j)).ensemble;
+    for (size_t i = 0; i < m; ++i) {
       if (i == j) continue;
-      foreign.Add(registry.at(j).ensemble->AverageBrier(sample));
+      for (const LabeledFrame& lf : samples[i]) {
+        scores[j][i].push_back(ensemble.BrierScore(lf.pixels, lf.label));
+      }
+    }
+  }
+  MsboCalibration calibration;
+  calibration.pc_avg.resize(m);
+  calibration.sigma.resize(m);
+  // Global h (§5.2.2): average foreign-ensemble uncertainty per sample.
+  // Each mean is summed in frame order, as DeepEnsemble::AverageBrier does.
+  stats::RunningMoments sample_moments;
+  for (size_t i = 0; i < m; ++i) {
+    stats::RunningMoments foreign;
+    for (size_t j = 0; j < m; ++j) {
+      if (i == j) continue;
+      double total = 0.0;
+      for (double score : scores[j][i]) total += score;
+      foreign.Add(total / static_cast<double>(scores[j][i].size()));
     }
     if (foreign.count() > 0) sample_moments.Add(foreign.mean());
   }
@@ -57,24 +75,19 @@ Result<MsboCalibration> CalibrateMsbo(
     }
     calibration.global_h = 1.5 * own.mean();
   }
-  for (int j = 0; j < registry.size(); ++j) {
+  for (size_t j = 0; j < m; ++j) {
     stats::RunningMoments moments;
-    for (int i = 0; i < registry.size(); ++i) {
-      if (i == j) continue;
-      const std::vector<LabeledFrame>& sample =
-          samples[static_cast<size_t>(i)];
-      for (const LabeledFrame& lf : sample) {
-        moments.Add(registry.at(j).ensemble->BrierScore(lf.pixels, lf.label));
-      }
+    for (size_t i = 0; i < m; ++i) {
+      for (double score : scores[j][i]) moments.Add(score);
     }
     if (moments.count() == 0) {
       // Single-model registry: no foreign data; fall back to a permissive
       // baseline so the lone model is accepted on matching data.
-      calibration.pc_avg[static_cast<size_t>(j)] = 1.0;
-      calibration.sigma[static_cast<size_t>(j)] = 0.0;
+      calibration.pc_avg[j] = 1.0;
+      calibration.sigma[j] = 0.0;
     } else {
-      calibration.pc_avg[static_cast<size_t>(j)] = moments.mean();
-      calibration.sigma[static_cast<size_t>(j)] = moments.stddev();
+      calibration.pc_avg[j] = moments.mean();
+      calibration.sigma[j] = moments.stddev();
     }
   }
   return calibration;

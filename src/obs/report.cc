@@ -4,14 +4,9 @@
 
 namespace vdrift::obs {
 
-std::string MetricsReportJson(const MetricsRegistry& registry,
-                              const EpisodeRecorder* episodes) {
-  return MetricsReportJson(registry, episodes, nullptr);
-}
-
-std::string MetricsReportJson(const MetricsRegistry& registry,
-                              const EpisodeRecorder* episodes,
-                              const HealthWatchdog* watchdog) {
+std::string MetricsJson(const MetricsRegistry& registry,
+                        const EpisodeRecorder* episodes,
+                        const HealthWatchdog* watchdog) {
   std::string metrics = registry.ToJson();
   // Splice "episodes" and "alerts" into the registry's top-level object.
   metrics.pop_back();  // trailing '}'
@@ -37,7 +32,7 @@ Status WriteMetricsJson(const MetricsRegistry& registry,
   if (!out) {
     return Status::IoError("cannot open metrics report for writing: " + path);
   }
-  out << MetricsReportJson(registry, episodes, watchdog) << "\n";
+  out << MetricsJson(registry, episodes, watchdog) << "\n";
   out.flush();
   if (!out) return Status::IoError("failed writing metrics report: " + path);
   return Status::OK();

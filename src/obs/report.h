@@ -12,19 +12,15 @@ namespace vdrift::obs {
 
 /// The full metrics report: the registry's counters/gauges/histograms plus
 /// the drift-episode trace under an "episodes" key ([] when `episodes` is
-/// null). This is the document the bench harnesses emit and
-/// tools/check_metrics.sh validates.
-std::string MetricsReportJson(const MetricsRegistry& registry,
-                              const EpisodeRecorder* episodes);
+/// null) and the SLO watchdog's alert log under an "alerts" key ([] when
+/// `watchdog` is null). This is the document the benches emit and
+/// tools/check_metrics.sh validates; it asserts the alerts array is empty
+/// on clean runs and non-empty under injected faults.
+std::string MetricsJson(const MetricsRegistry& registry,
+                        const EpisodeRecorder* episodes,
+                        const HealthWatchdog* watchdog = nullptr);
 
-/// As above, plus the SLO watchdog's alert log under an "alerts" key
-/// ([] when `watchdog` is null). check_metrics.sh asserts this array is
-/// empty on clean runs and non-empty under injected faults.
-std::string MetricsReportJson(const MetricsRegistry& registry,
-                              const EpisodeRecorder* episodes,
-                              const HealthWatchdog* watchdog);
-
-/// Writes MetricsReportJson to `path` (trailing newline included).
+/// Writes MetricsJson to `path` (trailing newline included).
 Status WriteMetricsJson(const MetricsRegistry& registry,
                         const EpisodeRecorder* episodes,
                         const std::string& path);

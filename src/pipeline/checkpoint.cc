@@ -1,6 +1,6 @@
 #include "pipeline/checkpoint.h"
 
-#include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "common/binio.h"
@@ -9,14 +9,12 @@ namespace vdrift::pipeline {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'D', 'C', 'K', 'P', 'T', '0', '1'};
+constexpr std::string_view kMagic = "VDCKPT01";
 // v2 added the detection-lag clock, per-detection lags, and the parked
 // drift-recovery state (including buffered frames). v1 files decode as
 // kDataLoss — the documented cold-start fallback, same as any other
 // unreadable checkpoint.
 constexpr uint32_t kVersion = 2;
-// Magic + version + payload length + CRC trailer.
-constexpr size_t kEnvelopeBytes = sizeof(kMagic) + 4 + 8 + 4;
 
 void EncodeRngState(const stats::Rng::State& state, BinaryWriter* writer) {
   writer->WriteU64(state.state);
@@ -259,54 +257,12 @@ Status DecodePayload(const std::string& payload, PipelineCheckpoint* cp) {
 }  // namespace
 
 std::string EncodeCheckpoint(const PipelineCheckpoint& checkpoint) {
-  std::string payload = EncodePayload(checkpoint);
-  BinaryWriter writer;
-  uint64_t magic = 0;
-  std::memcpy(&magic, kMagic, sizeof(magic));
-  writer.WriteU64(magic);
-  writer.WriteU32(kVersion);
-  writer.WriteU64(payload.size());
-  std::string bytes = std::move(writer).TakeBytes();
-  bytes += payload;
-  uint32_t crc = Crc32(payload.data(), payload.size());
-  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return bytes;
+  return SealEnvelope(kMagic, kVersion, EncodePayload(checkpoint));
 }
 
 Result<PipelineCheckpoint> DecodeCheckpoint(const std::string& bytes) {
-  if (bytes.size() < kEnvelopeBytes) {
-    return Status::DataLoss("checkpoint too small: " +
-                            std::to_string(bytes.size()) + " bytes");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::DataLoss("checkpoint magic mismatch");
-  }
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  std::memcpy(&payload_size, bytes.data() + sizeof(kMagic) + sizeof(version),
-              sizeof(payload_size));
-  if (version != kVersion) {
-    return Status::DataLoss("checkpoint version " + std::to_string(version) +
-                            " not supported (want " +
-                            std::to_string(kVersion) + ")");
-  }
-  if (payload_size != bytes.size() - kEnvelopeBytes) {
-    return Status::DataLoss(
-        "checkpoint payload length mismatch: header says " +
-        std::to_string(payload_size) + ", file holds " +
-        std::to_string(bytes.size() - kEnvelopeBytes));
-  }
-  const char* payload_begin = bytes.data() + sizeof(kMagic) + 4 + 8;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, payload_begin + payload_size, sizeof(stored_crc));
-  uint32_t actual_crc = Crc32(payload_begin, payload_size);
-  if (stored_crc != actual_crc) {
-    return Status::DataLoss("checkpoint CRC mismatch: stored " +
-                            std::to_string(stored_crc) + ", computed " +
-                            std::to_string(actual_crc));
-  }
-  std::string payload(payload_begin, payload_size);
+  VDRIFT_ASSIGN_OR_RETURN(std::string payload,
+                          OpenEnvelope(kMagic, kVersion, bytes, "checkpoint"));
   PipelineCheckpoint checkpoint;
   VDRIFT_RETURN_NOT_OK(DecodePayload(payload, &checkpoint));
   return checkpoint;

@@ -69,8 +69,8 @@ struct PipelineCheckpoint {
   std::vector<video::Frame> recovery_training;
 };
 
-/// Serializes a checkpoint: 8-byte magic "VDCKPT01", u32 version, u64
-/// payload length, payload, u32 CRC-32 of the payload.
+/// Serializes a checkpoint in the common/binio.h envelope under the 8-byte
+/// magic "VDCKPT01".
 std::string EncodeCheckpoint(const PipelineCheckpoint& checkpoint);
 
 /// Parses bytes produced by EncodeCheckpoint. Bad magic, unknown version,

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/labels.h"
 #include "obs/timer.h"
@@ -70,20 +71,11 @@ bool AllFinite(const tensor::Tensor& tensor) {
 
 PipelineObsOptions PipelineObsOptions::FromEnv() {
   PipelineObsOptions options;
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented env knob
-  if (const char* v = std::getenv("VDRIFT_SAMPLE_INTERVAL")) {
-    options.sample_interval_frames = std::max(0, std::atoi(v));
-  }
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented env knob
-  if (const char* v = std::getenv("VDRIFT_SLO_SPEC")) options.slo_spec = v;
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented env knob
-  if (const char* v = std::getenv("VDRIFT_METRICS_JSONL")) {
-    options.jsonl_path = v;
-  }
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented env knob
-  if (const char* v = std::getenv("VDRIFT_STREAM_LABEL")) {
-    options.stream_label = v;
-  }
+  options.sample_interval_frames = static_cast<int>(
+      EnvInt("VDRIFT_SAMPLE_INTERVAL", 0, INT32_MAX, 0));
+  options.slo_spec = EnvString("VDRIFT_SLO_SPEC");
+  options.jsonl_path = EnvString("VDRIFT_METRICS_JSONL");
+  options.stream_label = EnvString("VDRIFT_STREAM_LABEL");
   return options;
 }
 

@@ -1,9 +1,9 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/timer.h"
 #include "obs/trace_log.h"
@@ -20,22 +20,11 @@ thread_local int t_task_depth = 0;
 }  // namespace
 
 int DefaultThreads() {
-  // vdrift-lint: allow(no-ambient-nondeterminism): VDRIFT_THREADS is the
-  // documented thread-count knob; determinism across its values is the
-  // runtime's contract (bitwise-identical reduce order).
-  const char* env = std::getenv("VDRIFT_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long value = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || value < 0) {
-      VDRIFT_LOG_WARNING << "unparsable VDRIFT_THREADS='" << env
-                         << "', running serial";
-      return 1;
-    }
-    if (value > 0) {
-      return static_cast<int>(std::min<long>(value, kMaxThreads));
-    }
-    // 0 falls through to "all hardware threads".
+  // Determinism across VDRIFT_THREADS values is the runtime's contract
+  // (bitwise-identical reduce order). Unset or 0 = all hardware threads.
+  const int64_t value = EnvInt("VDRIFT_THREADS", 0, INT32_MAX, 0);
+  if (value > 0) {
+    return static_cast<int>(std::min<int64_t>(value, kMaxThreads));
   }
   unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0

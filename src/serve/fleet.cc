@@ -1,9 +1,9 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/labels.h"
 #include "pipeline/checkpoint.h"
@@ -26,20 +26,6 @@ constexpr const char* kAggregatedCounters[] = {
     "vdrift.pipeline.checkpoint_failures",
 };
 
-int64_t ParseEnvInt(const char* name, int64_t lo, int64_t hi,
-                    int64_t fallback) {
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented fleet knob
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  long long parsed = std::strtoll(raw, &end, 10);
-  // vdrift-lint: allow(no-data-dependent-check): env config contract
-  VDRIFT_CHECK(end != raw && *end == '\0' && parsed >= lo && parsed <= hi)
-      << name << " must be an integer in [" << lo << ", " << hi
-      << "], got '" << raw << "'";
-  return static_cast<int64_t>(parsed);
-}
-
 // The model named `name` in `models`, or null.
 const select::PublishedModel* FindModel(
     const std::vector<select::PublishedModel>& models,
@@ -53,13 +39,14 @@ const select::PublishedModel* FindModel(
 }  // namespace
 
 void FleetOptions::ApplyEnv() {
-  // vdrift-lint: allow(no-ambient-nondeterminism): documented fleet knob
-  const char* manifest = std::getenv("VDRIFT_FLEET_MANIFEST");
-  if (manifest != nullptr && manifest[0] != '\0') manifest_path = manifest;
-  max_restarts = static_cast<int>(ParseEnvInt(
-      "VDRIFT_FLEET_MAX_RESTARTS", 0, 1 << 20, max_restarts));
-  backoff_base = static_cast<int>(ParseEnvInt(
-      "VDRIFT_FLEET_BACKOFF_BASE", 0, 1 << 20, backoff_base));
+  if (std::string manifest = EnvString("VDRIFT_FLEET_MANIFEST");
+      !manifest.empty()) {
+    manifest_path = manifest;
+  }
+  max_restarts = static_cast<int>(
+      EnvInt("VDRIFT_FLEET_MAX_RESTARTS", 0, 1 << 20, max_restarts));
+  backoff_base = static_cast<int>(
+      EnvInt("VDRIFT_FLEET_BACKOFF_BASE", 0, 1 << 20, backoff_base));
 }
 
 DriftFleet::DriftFleet(const FleetOptions& options)

@@ -1,7 +1,7 @@
 #include "serve/supervisor.h"
 
 #include <cmath>
-#include <cstring>
+#include <string_view>
 
 #include "common/binio.h"
 #include "common/logging.h"
@@ -10,9 +10,8 @@ namespace vdrift::serve {
 
 namespace {
 
-// Envelope constants (the VDCKPT01 idiom, fleet flavor).
-constexpr char kMagic[] = "VDFLEET01";
-constexpr size_t kMagicBytes = sizeof(kMagic) - 1;  // 9, no terminator.
+// Envelope tag and version (common/binio.h SealEnvelope).
+constexpr std::string_view kMagic = "VDFLEET01";
 constexpr uint32_t kVersion = 1;
 
 /// Holdout accuracy of one query model: fraction of frames where the
@@ -164,55 +163,14 @@ std::string EncodeFleetManifest(const FleetManifest& manifest) {
     payload.WriteString(entry.publisher);
     payload.WriteI64(entry.round);
   }
-  const std::string body = std::move(payload).TakeBytes();
-  std::string bytes;
-  bytes.reserve(kMagicBytes + sizeof(uint32_t) + sizeof(uint64_t) +
-                body.size() + sizeof(uint32_t));
-  bytes.append(kMagic, kMagicBytes);
-  const uint32_t version = kVersion;
-  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  const uint64_t length = body.size();
-  bytes.append(reinterpret_cast<const char*>(&length), sizeof(length));
-  bytes += body;
-  const uint32_t crc = Crc32(body.data(), body.size());
-  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return bytes;
+  return SealEnvelope(kMagic, kVersion, payload.bytes());
 }
 
 Result<FleetManifest> DecodeFleetManifest(const std::string& bytes) {
-  const size_t envelope = kMagicBytes + sizeof(uint32_t) + sizeof(uint64_t) +
-                          sizeof(uint32_t);
-  if (bytes.size() < envelope) {
-    return Status::DataLoss("fleet manifest too short: " +
-                            std::to_string(bytes.size()) + " bytes");
-  }
-  if (std::memcmp(bytes.data(), kMagic, kMagicBytes) != 0) {
-    return Status::DataLoss("fleet manifest magic mismatch");
-  }
-  uint32_t version = 0;
-  uint64_t length = 0;
-  std::memcpy(&version, bytes.data() + kMagicBytes, sizeof(version));
-  std::memcpy(&length, bytes.data() + kMagicBytes + sizeof(version),
-              sizeof(length));
-  if (version != kVersion) {
-    return Status::DataLoss("fleet manifest version " +
-                            std::to_string(version) + " is not supported (" +
-                            std::to_string(kVersion) + " expected)");
-  }
-  if (bytes.size() != envelope + length) {
-    return Status::DataLoss("fleet manifest length mismatch: declared " +
-                            std::to_string(length) + " payload bytes, have " +
-                            std::to_string(bytes.size() - envelope));
-  }
-  const char* body = bytes.data() + kMagicBytes + sizeof(uint32_t) +
-                     sizeof(uint64_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  if (Crc32(body, length) != stored_crc) {
-    return Status::DataLoss("fleet manifest CRC mismatch");
-  }
-  std::string payload(body, length);
+  VDRIFT_ASSIGN_OR_RETURN(
+      std::string payload,
+      OpenEnvelope(kMagic, kVersion, bytes, "fleet manifest"));
+  const uint64_t length = payload.size();
   BinaryReader reader(payload);
   FleetManifest manifest;
   VDRIFT_RETURN_NOT_OK(reader.ReadI64(&manifest.next_round));

@@ -162,9 +162,8 @@ struct FleetManifest {
   std::vector<ModelLineage> lineage;  ///< In publication order.
 };
 
-/// Serializes a manifest: 9-byte magic "VDFLEET01", u32 version, u64
-/// payload length, payload, u32 CRC-32 of the payload — the checkpoint
-/// envelope idiom.
+/// Serializes a manifest in the common/binio.h envelope under the 9-byte
+/// magic "VDFLEET01".
 std::string EncodeFleetManifest(const FleetManifest& manifest);
 
 /// Parses bytes produced by EncodeFleetManifest. Bad magic, unknown

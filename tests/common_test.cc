@@ -1,6 +1,9 @@
-// Tests for the Status / Result error model.
+// Tests for the Status / Result error model, the env-knob parser and the
+// binary I/O helpers.
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -8,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/binio.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -184,6 +188,91 @@ TEST(AtomicWriteFileTest, PathWithoutDirectoryUsesTheWorkingDirectory) {
   ASSERT_TRUE(AtomicWriteFile(name, "cwd").ok());
   EXPECT_EQ(ReadFileToString(name).ValueOrDie(), "cwd");
   std::remove(name.c_str());
+}
+
+TEST(EnvelopeTest, LayoutIsMagicVersionLengthPayloadCrc) {
+  // Both on-disk formats: the checkpoint's 8-byte and the fleet
+  // manifest's 9-byte magic.
+  const std::string payload("pay\0load\xff", 9);
+  for (const auto& [magic, version] :
+       {std::pair<std::string, uint32_t>{"VDCKPT01", 2u},
+        std::pair<std::string, uint32_t>{"VDFLEET01", 1u}}) {
+    SCOPED_TRACE(magic);
+    const std::string bytes = SealEnvelope(magic, version, payload);
+    const size_t m = magic.size();
+    ASSERT_EQ(bytes.size(), m + 4 + 8 + payload.size() + 4);
+    EXPECT_EQ(bytes.substr(0, m), magic);
+    uint32_t stored_version = 0;
+    uint64_t length = 0;
+    uint32_t crc = 0;
+    std::memcpy(&stored_version, bytes.data() + m, 4);
+    std::memcpy(&length, bytes.data() + m + 4, 8);
+    std::memcpy(&crc, bytes.data() + m + 12 + payload.size(), 4);
+    EXPECT_EQ(stored_version, version);
+    EXPECT_EQ(length, payload.size());
+    EXPECT_EQ(bytes.substr(m + 12, payload.size()), payload);
+    EXPECT_EQ(crc, Crc32(payload.data(), payload.size()));
+    EXPECT_EQ(OpenEnvelope(magic, version, bytes, "test").ValueOrDie(),
+              payload);
+  }
+}
+
+TEST(EnvTest, StringIsEmptyWhenUnset) {
+  unsetenv("VDRIFT_TEST_STRING");
+  EXPECT_EQ(EnvString("VDRIFT_TEST_STRING"), "");
+  setenv("VDRIFT_TEST_STRING", "", 1);
+  EXPECT_EQ(EnvString("VDRIFT_TEST_STRING"), "");
+  setenv("VDRIFT_TEST_STRING", "a b=c", 1);
+  EXPECT_EQ(EnvString("VDRIFT_TEST_STRING"), "a b=c");
+  unsetenv("VDRIFT_TEST_STRING");
+}
+
+TEST(EnvTest, FlagIsFalseOnlyWhenUnsetEmptyOrZero) {
+  unsetenv("VDRIFT_TEST_FLAG");
+  EXPECT_FALSE(EnvFlag("VDRIFT_TEST_FLAG"));
+  setenv("VDRIFT_TEST_FLAG", "", 1);
+  EXPECT_FALSE(EnvFlag("VDRIFT_TEST_FLAG"));
+  setenv("VDRIFT_TEST_FLAG", "0", 1);
+  EXPECT_FALSE(EnvFlag("VDRIFT_TEST_FLAG"));
+  setenv("VDRIFT_TEST_FLAG", "1", 1);
+  EXPECT_TRUE(EnvFlag("VDRIFT_TEST_FLAG"));
+  setenv("VDRIFT_TEST_FLAG", "yes", 1);
+  EXPECT_TRUE(EnvFlag("VDRIFT_TEST_FLAG"));
+  unsetenv("VDRIFT_TEST_FLAG");
+}
+
+TEST(EnvTest, IntFallsBackWhenUnsetOrEmptyAndParsesValidValues) {
+  unsetenv("VDRIFT_TEST_INT");
+  EXPECT_EQ(EnvInt("VDRIFT_TEST_INT", 1, 10, 7), 7);
+  setenv("VDRIFT_TEST_INT", "", 1);
+  EXPECT_EQ(EnvInt("VDRIFT_TEST_INT", 1, 10, 7), 7);
+  setenv("VDRIFT_TEST_INT", "10", 1);
+  EXPECT_EQ(EnvInt("VDRIFT_TEST_INT", 1, 10, 7), 10);
+  setenv("VDRIFT_TEST_INT", "-3", 1);
+  EXPECT_EQ(EnvInt("VDRIFT_TEST_INT", -5, 10, 7), -3);
+  unsetenv("VDRIFT_TEST_INT");
+}
+
+TEST(EnvDeathTest, IntWithTrailingJunkNamesTheKnob) {
+  setenv("VDRIFT_TEST_INT", "5x", 1);
+  EXPECT_DEATH(
+      EnvInt("VDRIFT_TEST_INT", 1, 10, 7),
+      "VDRIFT_TEST_INT must be an integer in \\[1, 10\\], got '5x'");
+  setenv("VDRIFT_TEST_INT", "abc", 1);
+  EXPECT_DEATH(EnvInt("VDRIFT_TEST_INT", 1, 10, 7), "VDRIFT_TEST_INT.*'abc'");
+  unsetenv("VDRIFT_TEST_INT");
+}
+
+TEST(EnvDeathTest, IntOutOfRangeNamesTheKnob) {
+  setenv("VDRIFT_TEST_INT", "11", 1);
+  EXPECT_DEATH(
+      EnvInt("VDRIFT_TEST_INT", 1, 10, 7),
+      "VDRIFT_TEST_INT must be an integer in \\[1, 10\\], got '11'");
+  setenv("VDRIFT_TEST_INT", "-5", 1);
+  EXPECT_DEATH(EnvInt("VDRIFT_TEST_INT", 0, 10, 7), "VDRIFT_TEST_INT.*'-5'");
+  setenv("VDRIFT_TEST_INT", "99999999999999999999", 1);
+  EXPECT_DEATH(EnvInt("VDRIFT_TEST_INT", 0, INT64_MAX, 7), "VDRIFT_TEST_INT");
+  unsetenv("VDRIFT_TEST_INT");
 }
 
 TEST(LoggingDeathTest, CheckFailureAborts) {

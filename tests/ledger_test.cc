@@ -1,18 +1,22 @@
 // Tests for the BENCH run ledger (benchutil/ledger.h): record JSON
 // round-trip, append/read over a real file, corrupt-line tolerance,
-// machine-fingerprint stability, and kernel-stat harvesting from the
-// op-probe instruments.
+// machine-fingerprint stability, kernel-stat harvesting from the
+// op-probe instruments, and the bench harness's one ledger append.
 
 #include "benchutil/ledger.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "benchutil/bench_harness.h"
 #include "obs/metrics.h"
 #include "obs/trace_log.h"
+#include "runtime/parallel.h"
 
 namespace vdrift::benchutil {
 namespace {
@@ -164,6 +168,41 @@ TEST(CollectKernelStatsTest, HarvestsOpProbeInstruments) {
   EXPECT_EQ(kernels.at("test.collect_op").bytes, 99);
   EXPECT_DOUBLE_EQ(kernels.at("test.collect_op").seconds, 0.5);
   EXPECT_EQ(kernels.count("unrelated.counter"), 0u);
+}
+
+TEST(BenchHarnessLedgerTest, WriteReportAppendsExactlyOneRecord) {
+  const std::string dir = ::testing::TempDir() + "/vdrift_harness_ledger";
+  const std::string path = dir + "/harness_test.jsonl";
+  std::remove(path.c_str());  // Appends accumulate across test invocations.
+  setenv("VDRIFT_BENCH_LEDGER", dir.c_str(), 1);
+  BenchHarness harness("harness_test");
+  unsetenv("VDRIFT_BENCH_LEDGER");
+  EXPECT_EQ(harness.config().ledger_path, path);
+  harness.RecordStageSeconds("stage", 0.5);
+  EXPECT_EQ(harness.WriteReport(), path);
+
+  Result<LedgerHistory> history = ReadLedger(path);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  EXPECT_EQ(history.value().corrupt_lines, 0);
+  ASSERT_EQ(history.value().records.size(), 1u);
+  const LedgerRecord& record = history.value().records[0];
+  EXPECT_EQ(record.bench, "harness_test");
+  ASSERT_EQ(record.stages.count("stage"), 1u);
+  EXPECT_EQ(record.stages.at("stage").count, 1);
+  EXPECT_EQ(record.stages.at("stage").samples, std::vector<double>{0.5});
+  std::remove(path.c_str());
+}
+
+TEST(BenchHarnessLedgerTest, DefaultLedgerIsTheBenchLedgerDirectory) {
+  unsetenv("VDRIFT_BENCH_LEDGER");
+  BenchHarness harness("harness_test");
+  EXPECT_EQ(harness.config().ledger_path, "bench/ledger/harness_test.jsonl");
+}
+
+TEST(BenchHarnessLedgerTest, RecordsThePoolThreadCount) {
+  runtime::ScopedThreads threads(3);
+  BenchHarness harness("harness_test");
+  EXPECT_EQ(harness.MakeLedgerRecord().env.at("threads"), "3");
 }
 
 }  // namespace

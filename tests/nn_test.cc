@@ -524,19 +524,6 @@ TEST(SerializeTest, LoadRejectsGarbage) {
   EXPECT_FALSE(LoadParameters(&a, &stream).ok());
 }
 
-TEST(CopyParametersTest, CopiesValues) {
-  Rng rng(19);
-  Sequential a;
-  a.Add<Linear>(2, 2, &rng);
-  Sequential b;
-  b.Add<Linear>(2, 2, &rng);
-  ASSERT_TRUE(CopyParameters(&a, &b).ok());
-  Tensor x = RandomTensor(Shape{1, 2}, &rng);
-  Tensor ya = a.Forward(x);
-  Tensor yb = b.Forward(x);
-  for (int64_t i = 0; i < ya.size(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
-}
-
 TEST(InitTest, HeInitVarianceScaled) {
   Rng rng(20);
   Tensor w(Shape{1000, 50});

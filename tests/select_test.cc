@@ -14,6 +14,7 @@
 #include "core/registry.h"
 #include "detect/annotator.h"
 #include "pipeline/provision.h"
+#include "stats/moments.h"
 #include "stats/rng.h"
 #include "video/datasets.h"
 #include "video/stream.h"
@@ -297,6 +298,68 @@ TEST_F(SelectionFixture, MsboTradeoffFasterThanMsbi) {
   Selection si = msbi.Select(PixelWindow("Day", 10, 1001)).ValueOrDie();
   EXPECT_GT(so.invocations, 0);
   EXPECT_GT(si.invocations, 0);
+}
+
+// The calibration as CalibrateMsbo computed it before it scored each
+// foreign (ensemble, sample) pair once: AverageBrier for global h, then a
+// second pass of per-frame BrierScore for pc_avg / sigma.
+MsboCalibration TwoPassCalibration(
+    const ModelRegistry& registry,
+    const std::vector<std::vector<LabeledFrame>>& samples) {
+  MsboCalibration calibration;
+  calibration.pc_avg.resize(static_cast<size_t>(registry.size()));
+  calibration.sigma.resize(static_cast<size_t>(registry.size()));
+  stats::RunningMoments sample_moments;
+  for (int i = 0; i < registry.size(); ++i) {
+    stats::RunningMoments foreign;
+    for (int j = 0; j < registry.size(); ++j) {
+      if (i == j) continue;
+      foreign.Add(registry.at(j).ensemble->AverageBrier(
+          samples[static_cast<size_t>(i)]));
+    }
+    if (foreign.count() > 0) sample_moments.Add(foreign.mean());
+  }
+  if (sample_moments.count() > 0) {
+    calibration.global_h = sample_moments.mean() - sample_moments.stddev();
+  } else {
+    stats::RunningMoments own;
+    for (int i = 0; i < registry.size(); ++i) {
+      own.Add(registry.at(i).ensemble->AverageBrier(
+          samples[static_cast<size_t>(i)]));
+    }
+    calibration.global_h = 1.5 * own.mean();
+  }
+  for (int j = 0; j < registry.size(); ++j) {
+    stats::RunningMoments moments;
+    for (int i = 0; i < registry.size(); ++i) {
+      if (i == j) continue;
+      for (const LabeledFrame& lf : samples[static_cast<size_t>(i)]) {
+        moments.Add(registry.at(j).ensemble->BrierScore(lf.pixels, lf.label));
+      }
+    }
+    const size_t k = static_cast<size_t>(j);
+    calibration.pc_avg[k] = moments.count() == 0 ? 1.0 : moments.mean();
+    calibration.sigma[k] = moments.count() == 0 ? 0.0 : moments.stddev();
+  }
+  return calibration;
+}
+
+void ExpectSameCalibration(const MsboCalibration& actual,
+                           const MsboCalibration& expected) {
+  EXPECT_EQ(actual.global_h, expected.global_h);
+  EXPECT_EQ(actual.pc_avg, expected.pc_avg);
+  EXPECT_EQ(actual.sigma, expected.sigma);
+}
+
+TEST_F(SelectionFixture, CalibrationIsBitIdenticalToTheTwoPassReference) {
+  ExpectSameCalibration(*calibration_,
+                        TwoPassCalibration(*registry_, *samples_));
+
+  ModelRegistry single;
+  single.Add(registry_->at(0));
+  std::vector<std::vector<LabeledFrame>> single_samples = {samples_->at(0)};
+  ExpectSameCalibration(CalibrateMsbo(single, single_samples).ValueOrDie(),
+                        TwoPassCalibration(single, single_samples));
 }
 
 TEST_F(SelectionFixture, CalibrationRejectsMismatchedSamples) {

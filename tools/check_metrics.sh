@@ -6,8 +6,6 @@
 #   - the flight-recorder Chrome trace (well-formed event array, ph in
 #     {B,E,X}, monotonic timestamps per tid, nested pipeline stage spans,
 #     tensor-op events carrying FLOP args),
-#   - the BENCH_*.json harness report (schema + quantile ordering;
-#     empty stages legitimately omit quantile keys),
 #   - the OpenMetrics text exposition (family grammar, counter _total
 #     suffix, cumulative histogram buckets ending in +Inf == _count,
 #     terminating # EOF),
@@ -15,9 +13,10 @@
 #     exactly to the final cumulative totals; render_timeline.py parses it),
 #   - the sampling profiler's folded-stack output (flamegraph.pl grammar:
 #     "frame(;frame)* count" per line, samples attributed to spans/kernels),
-#   - the run-ledger JSONL record (schema, machine fingerprint, per-stage
-#     quantiles + samples, per-kernel op-probe table; parses back through
-#     compare_bench.py's loader).
+#   - the run-ledger JSONL record, the harness's one report (schema,
+#     machine fingerprint, env knobs, per-stage quantiles in order +
+#     samples, positive throughput, per-kernel op-probe table with FLOPs;
+#     parses back through compare_bench.py's loader).
 # A second, smoke-sized run with VDRIFT_FAULT_SPEC set then asserts the
 # SLO watchdog actually fires: injected faults must surface as alerts
 # attributable to the fault kind, and the clean run above must have none.
@@ -42,18 +41,18 @@ python3 tools/vdrift_lint.py
 export VDRIFT_BENCH_DATASET="${VDRIFT_BENCH_DATASET:-Tokyo}"
 REPORT="$(mktemp /tmp/vdrift_metrics.XXXXXX.json)"
 TRACE="$(mktemp /tmp/vdrift_trace.XXXXXX.json)"
-BENCH_JSON="$(mktemp /tmp/vdrift_bench.XXXXXX.json)"
 OPENMETRICS="$(mktemp /tmp/vdrift_om.XXXXXX.txt)"
 JSONL="$(mktemp /tmp/vdrift_windows.XXXXXX.jsonl)"
 FOLDED="$(mktemp /tmp/vdrift_profile.XXXXXX.folded)"
 LEDGER="$(mktemp /tmp/vdrift_ledger.XXXXXX.jsonl)"
 FAULT_REPORT="$(mktemp /tmp/vdrift_metrics_fault.XXXXXX.json)"
-FAULT_BENCH_JSON="$(mktemp /tmp/vdrift_bench_fault.XXXXXX.json)"
-trap 'rm -f "$REPORT" "$TRACE" "$BENCH_JSON" "$OPENMETRICS" "$JSONL" \
-  "$FOLDED" "$LEDGER" "$FAULT_REPORT" "$FAULT_BENCH_JSON"' EXIT
+# The fault and fleet passes append their records here, not to the
+# default bench/ledger.
+SMOKE_LEDGER="$(mktemp /tmp/vdrift_ledger_smoke.XXXXXX.jsonl)"
+trap 'rm -f "$REPORT" "$TRACE" "$OPENMETRICS" "$JSONL" \
+  "$FOLDED" "$LEDGER" "$FAULT_REPORT" "$SMOKE_LEDGER"' EXIT
 export VDRIFT_METRICS_JSON="$REPORT"
 export VDRIFT_TRACE_JSON="$TRACE"
-export VDRIFT_BENCH_JSON="$BENCH_JSON"
 export VDRIFT_METRICS_OPENMETRICS="$OPENMETRICS"
 export VDRIFT_METRICS_JSONL="$JSONL"
 export VDRIFT_PROFILE_FOLDED="$FOLDED"
@@ -61,11 +60,10 @@ export VDRIFT_BENCH_LEDGER="$LEDGER"
 export VDRIFT_SAMPLE_INTERVAL="${VDRIFT_SAMPLE_INTERVAL:-32}"
 export VDRIFT_SLO_SPEC="${VDRIFT_SLO_SPEC:-default}"
 
-echo "running $BENCH (dataset=$VDRIFT_BENCH_DATASET, trace+bench+sampler+slo+profiler+ledger armed)..."
+echo "running $BENCH (dataset=$VDRIFT_BENCH_DATASET, trace+sampler+slo+profiler+ledger armed)..."
 "$BENCH"
 
-for f in "$REPORT" "$TRACE" "$BENCH_JSON" "$OPENMETRICS" "$JSONL" \
-         "$FOLDED" "$LEDGER"; do
+for f in "$REPORT" "$TRACE" "$OPENMETRICS" "$JSONL" "$FOLDED" "$LEDGER"; do
   if [[ ! -s "$f" ]]; then
     echo "FAIL: bench did not write $f" >&2
     exit 1
@@ -173,66 +171,6 @@ if flop_events == 0:
 print(f"OK: trace has {len(events)} events on {len(last_ts)} thread(s), "
       f"{op_events} op event(s) ({flop_events} with FLOPs), "
       f"nested pipeline stage spans present")
-EOF
-
-python3 - "$BENCH_JSON" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-
-def fail(msg):
-    print(f"FAIL: bench report: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-for key in ("name", "git_rev", "config", "counters", "stages",
-            "throughput_fps", "flops_total", "bytes_total", "machine",
-            "kernels"):
-    if key not in report:
-        fail(f"missing top-level key {key}")
-for key in ("cpu_model", "cores", "governor", "id", "page_size"):
-    if key not in report["machine"]:
-        fail(f"machine fingerprint missing {key}")
-if not report["kernels"]:
-    fail("no kernels in report (op probes inactive?)")
-for name, kernel in report["kernels"].items():
-    for key in ("calls", "flops", "bytes", "seconds"):
-        if key not in kernel:
-            fail(f"kernel {name} missing {key}")
-for key in ("repeats", "warmup", "seed", "smoke", "dataset_filter"):
-    if key not in report["config"]:
-        fail(f"config missing {key}")
-if not report["stages"]:
-    fail("no stages recorded")
-populated = 0
-for name, stage in report["stages"].items():
-    for key in ("count", "fps", "sum_seconds"):
-        if key not in stage:
-            fail(f"stage {name} missing {key}")
-    if stage["count"] > 0:
-        # Shape keys are mandatory exactly when the stage has samples.
-        for key in ("min", "max", "mean", "p50", "p90", "p99"):
-            if key not in stage:
-                fail(f"populated stage {name} missing {key}")
-        populated += 1
-        if not (stage["p50"] <= stage["p90"] + 1e-12
-                and stage["p90"] <= stage["p99"] + 1e-12):
-            fail(f"stage {name} quantiles not ordered: "
-                 f"{stage['p50']} / {stage['p90']} / {stage['p99']}")
-    elif "p50" in stage:
-        fail(f"empty stage {name} still exports quantile keys")
-if populated == 0:
-    fail("every stage is empty")
-if report["throughput_fps"] <= 0:
-    fail(f"non-positive throughput_fps {report['throughput_fps']}")
-if report["flops_total"] <= 0:
-    fail("flops_total not positive (kernel probes inactive?)")
-
-print(f"OK: bench report {report['name']} @ {report['git_rev']}: "
-      f"{populated} populated stage(s), "
-      f"throughput {report['throughput_fps']:.2f} fps, "
-      f"{report['flops_total']:,} FLOPs")
 EOF
 
 python3 - "$OPENMETRICS" <<'EOF'
@@ -433,35 +371,59 @@ for key in ("schema", "bench", "git_rev", "unix_time", "machine", "env",
             "stages", "kernels", "throughput_fps"):
     if key not in rec:
         fail(f"record missing {key}")
-if not rec["machine"].get("id"):
+for key in ("cpu_model", "cores", "governor", "id", "page_size"):
+    if key not in rec["machine"]:
+        fail(f"machine fingerprint missing {key}")
+if not rec["machine"]["id"]:
     fail("machine fingerprint has no id")
 for key in ("repeats", "warmup", "seed", "smoke", "threads",
-            "kernel_profile"):
+            "kernel_profile", "dataset_filter"):
     if key not in rec["env"]:
         fail(f"env knobs missing {key}")
 if not rec["stages"]:
     fail("no stages in ledger record")
 sampled = 0
+populated = 0
 for name, stage in rec["stages"].items():
     for key in ("count", "sum", "min", "max", "p50", "p90", "p99"):
         if key not in stage:
             fail(f"stage {name} missing {key}")
+    if stage["count"] > 0:
+        populated += 1
+        if stage["min"] > stage["max"]:
+            fail(f"stage {name}: min {stage['min']} > max {stage['max']}")
+        if not (stage["p50"] <= stage["p90"] + 1e-12
+                and stage["p90"] <= stage["p99"] + 1e-12):
+            fail(f"stage {name} quantiles not ordered: "
+                 f"{stage['p50']} / {stage['p90']} / {stage['p99']}")
     # Raw repeat-level samples are per-stage optional (stages imported
     # from a pipeline's own metrics registry only have histograms), but
     # at least one harness-recorded stage must carry them.
     if stage.get("samples"):
         sampled += 1
+if populated == 0:
+    fail("every stage is empty")
 if sampled == 0:
     fail("no stage carries repeat-level samples")
+if rec["throughput_fps"] <= 0:
+    fail(f"non-positive throughput_fps {rec['throughput_fps']}")
 if not rec["kernels"]:
     fail("no kernels in ledger record")
+for name, kernel in rec["kernels"].items():
+    for key in ("calls", "flops", "bytes", "seconds"):
+        if key not in kernel:
+            fail(f"kernel {name} missing {key}")
+if not any(k["flops"] > 0 for k in rec["kernels"].values()):
+    fail("no kernel carries FLOPs (kernel probes inactive?)")
 timed = sum(1 for k in rec["kernels"].values() if k.get("seconds", 0) > 0)
 if timed == 0:
     fail("no kernel carries timing (kernel profiling was armed)")
 
-print(f"OK: ledger: 1 record, {len(rec['stages'])} stage(s) "
-      f"({sampled} with raw samples), {len(rec['kernels'])} kernel(s) "
-      f"({timed} timed), machine id {rec['machine']['id']}")
+print(f"OK: ledger {rec['bench']} @ {rec['git_rev']}: 1 record, "
+      f"{len(rec['stages'])} stage(s) ({populated} populated, {sampled} "
+      f"with raw samples), throughput {rec['throughput_fps']:.2f} fps, "
+      f"{len(rec['kernels'])} kernel(s) ({timed} timed), "
+      f"machine id {rec['machine']['id']}")
 EOF
 
 echo "round-tripping the ledger through the statistical gate (--smoke)..."
@@ -474,8 +436,8 @@ VDRIFT_BENCH_SMOKE=1 \
   VDRIFT_FAULT_SPEC="nan_frame:p=0.1;selector_fail:p=0.8" \
   VDRIFT_METRICS_JSON="$FAULT_REPORT" \
   VDRIFT_TRACE_JSON="" VDRIFT_METRICS_OPENMETRICS="" \
-  VDRIFT_METRICS_JSONL="" VDRIFT_BENCH_JSON="$FAULT_BENCH_JSON" \
-  VDRIFT_PROFILE_FOLDED="" VDRIFT_BENCH_LEDGER="" \
+  VDRIFT_METRICS_JSONL="" VDRIFT_PROFILE_FOLDED="" \
+  VDRIFT_BENCH_LEDGER="$SMOKE_LEDGER" \
   "$BENCH" > /dev/null
 
 python3 - "$FAULT_REPORT" <<'EOF'
@@ -514,16 +476,14 @@ if [[ ! -x "$FLEET_BENCH" ]]; then
   exit 1
 fi
 FLEET_REPORT="$(mktemp /tmp/vdrift_metrics_fleet.XXXXXX.json)"
-FLEET_BENCH_JSON="$(mktemp /tmp/vdrift_bench_fleet.XXXXXX.json)"
-trap 'rm -f "$REPORT" "$TRACE" "$BENCH_JSON" "$OPENMETRICS" "$JSONL" \
-  "$FOLDED" "$LEDGER" "$FAULT_REPORT" "$FAULT_BENCH_JSON" \
-  "$FLEET_REPORT" "$FLEET_BENCH_JSON"' EXIT
+trap 'rm -f "$REPORT" "$TRACE" "$OPENMETRICS" "$JSONL" \
+  "$FOLDED" "$LEDGER" "$FAULT_REPORT" "$SMOKE_LEDGER" "$FLEET_REPORT"' EXIT
 echo "running fleet pass (smoke, 2 streams, per-stream metrics)..."
 VDRIFT_BENCH_SMOKE=1 \
   VDRIFT_METRICS_JSON="$FLEET_REPORT" \
   VDRIFT_TRACE_JSON="" VDRIFT_METRICS_OPENMETRICS="" \
-  VDRIFT_METRICS_JSONL="" VDRIFT_BENCH_JSON="$FLEET_BENCH_JSON" \
-  VDRIFT_PROFILE_FOLDED="" VDRIFT_BENCH_LEDGER="" \
+  VDRIFT_METRICS_JSONL="" VDRIFT_PROFILE_FOLDED="" \
+  VDRIFT_BENCH_LEDGER="$SMOKE_LEDGER" \
   "$FLEET_BENCH" > /dev/null
 
 python3 - "$FLEET_REPORT" <<'EOF'

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Variance-aware perf-regression gate over BENCH reports and run ledgers.
+"""Variance-aware perf-regression gate over bench run ledgers.
 
 The old gate compared two single runs against a fixed threshold; that is
 how a 28% code-layout swing (PR 5, msbo_select) and a 1.3x one-off
@@ -7,8 +7,8 @@ how a 28% code-layout swing (PR 5, msbo_select) and a 1.3x one-off
 statistical instead:
 
   * Evidence is repeat-level: each side contributes every raw sample it
-    has — per-repeat wall times from BENCH "samples" arrays, plus every
-    record of a run ledger (.jsonl appended by VDRIFT_BENCH_LEDGER).
+    has — the per-repeat wall times in the "samples" arrays of every
+    record of a run ledger (.jsonl, one record appended per bench run).
   * The noise floor is estimated from the data (median absolute
     deviation, scaled to sigma), never assumed.
   * The verdict comes from a seeded bootstrap confidence interval on the
@@ -22,21 +22,20 @@ statistical instead:
     moved while FLOPs and calls stayed bit-identical — which is exactly
     what PR 5 diagnosed by hand.
 
-Inputs may be BENCH_*.json reports (one run each) or ledger .jsonl files
-(many runs each), or directories holding either; sides are paired by
-bench name. Machine fingerprints are checked: comparing across different
+Inputs are ledger .jsonl files (one record per run) or directories of
+them; sides are paired by bench name. Machine fingerprints are checked: comparing across different
 fingerprint ids downgrades the verdict to a warning, because such
 numbers are not comparable evidence.
 
 Usage:
   tools/compare_bench.py --baseline bench/baselines/threads1 --candidate out/
-  tools/compare_bench.py --baseline base.jsonl --candidate BENCH_x.json
+  tools/compare_bench.py --baseline base.jsonl --candidate cand.jsonl
   tools/compare_bench.py --baseline base/ --candidate out/ --json
   tools/compare_bench.py --baseline base/ --candidate out/ --smoke
   tools/compare_bench.py --self-test
 
 Exit codes: 0 = pass/improved, 1 = regression, 2 = usage/schema error.
---smoke only checks structure (reports parse, stages shared), never perf:
+--smoke only checks structure (records parse, stages shared), never perf:
 smoke runs are 1-repeat liveness probes, not measurements.
 """
 
@@ -134,15 +133,6 @@ def run_from_stages(bench, git_rev, machine, stages_doc, kernels_doc,
     }
 
 
-def run_from_report(doc, path):
-    for key in ("name", "stages", "throughput_fps"):
-        if key not in doc:
-            raise ValueError(f"{path}: not a bench report (missing {key!r})")
-    return run_from_stages(doc["name"], doc.get("git_rev"),
-                           doc.get("machine"), doc["stages"],
-                           doc.get("kernels"), doc["throughput_fps"])
-
-
 def run_from_ledger_record(rec, path):
     for key in ("bench", "stages"):
         if key not in rec:
@@ -153,27 +143,21 @@ def run_from_ledger_record(rec, path):
 
 
 def load_runs_file(path, sink, corrupt):
-    """Appends the run(s) in `path` into sink[bench_name]."""
-    if path.endswith(".jsonl"):
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    run = run_from_ledger_record(rec, path)
-                except (json.JSONDecodeError, ValueError, TypeError):
-                    # Torn append / truncation: skip and count, the rest
-                    # of the history is still evidence.
-                    corrupt.append(path)
-                    continue
-                sink.setdefault(run["bench"], []).append(run)
-        return
+    """Appends the runs of ledger `path` into sink[bench_name]."""
     with open(path) as f:
-        doc = json.load(f)
-    run = run_from_report(doc, path)
-    sink.setdefault(run["bench"], []).append(run)
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                run = run_from_ledger_record(rec, path)
+            except (json.JSONDecodeError, ValueError, TypeError):
+                # Torn append / truncation: skip and count, the rest of the
+                # history is still evidence.
+                corrupt.append(path)
+                continue
+            sink.setdefault(run["bench"], []).append(run)
 
 
 def load_side(path):
@@ -183,10 +167,9 @@ def load_side(path):
     if os.path.isdir(path):
         names = sorted(os.listdir(path))
         files = [os.path.join(path, n) for n in names
-                 if (n.startswith("BENCH_") and n.endswith(".json"))
-                 or n.endswith(".jsonl")]
+                 if n.endswith(".jsonl")]
         if not files:
-            raise ValueError(f"no BENCH_*.json or *.jsonl in {path}")
+            raise ValueError(f"no *.jsonl ledger in {path}")
         for f in files:
             load_runs_file(f, sink, corrupt)
     else:
@@ -625,8 +608,8 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--baseline",
-                        help="baseline: BENCH_*.json, ledger .jsonl, or a "
-                             "directory of either")
+                        help="baseline: a ledger .jsonl or a directory of "
+                             "them")
     parser.add_argument("--candidate",
                         help="candidate: same forms as --baseline")
     parser.add_argument("--history", action="append", default=[],
