@@ -4,6 +4,7 @@
 // Table 5 object-count statistics).
 
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -291,6 +292,10 @@ struct DatasetStatCase {
   double mean;
   double std;
 };
+
+// Name each case by its dataset. The default printer dumps the raw bytes,
+// which include the address of `name` and so change from run to run.
+void PrintTo(const DatasetStatCase& c, std::ostream* os) { *os << c.name; }
 
 class DatasetStats : public ::testing::TestWithParam<DatasetStatCase> {};
 
