@@ -49,7 +49,7 @@ constexpr PaperRow kPaper[] = {
 /// Simulated Mask R-CNN per-frame workload (dense GEMM side): sized so the
 /// oracle lands roughly an order of magnitude above the DI+MS pipelines,
 /// as in the paper's GPU numbers.
-constexpr int kOracleWorkDim = 220;
+constexpr int kOracleWorkDim = 400;
 
 // Folds one run into the report: the end-to-end total plus the pipeline's
 // own per-frame stage histograms when it recorded any.

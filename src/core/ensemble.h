@@ -17,6 +17,25 @@ struct LabeledFrame {
   int label = 0;
 };
 
+/// \brief A labeled sample held by reference count.
+///
+/// A calibration sample never changes once drawn, so the fleet's shared
+/// registry, its shards and their pipelines hold one copy between them
+/// instead of one each. It reads as the frames it holds, so a caller that
+/// wants a private copy still writes `std::vector<LabeledFrame> s = shared;`.
+class SharedSample {
+ public:
+  explicit SharedSample(std::vector<LabeledFrame> frames)
+      : frames_(std::make_shared<const std::vector<LabeledFrame>>(
+            std::move(frames))) {}
+
+  const std::vector<LabeledFrame>& frames() const { return *frames_; }
+  operator const std::vector<LabeledFrame>&() const { return *frames_; }
+
+ private:
+  std::shared_ptr<const std::vector<LabeledFrame>> frames_;
+};
+
 /// \brief Uniformly-weighted deep ensemble (paper §5.2.2).
 ///
 /// L members (typical L between 3 and 10) trained end-to-end on randomized

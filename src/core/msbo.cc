@@ -11,9 +11,12 @@
 
 namespace vdrift::select {
 
-Result<MsboCalibration> CalibrateMsbo(
+namespace {
+
+// The calibration over one sample view per registry entry.
+Result<MsboCalibration> Calibrate(
     const ModelRegistry& registry,
-    const std::vector<std::vector<LabeledFrame>>& samples) {
+    const std::vector<const std::vector<LabeledFrame>*>& samples) {
   if (registry.empty()) {
     return Status::FailedPrecondition("registry is empty");
   }
@@ -26,8 +29,8 @@ Result<MsboCalibration> CalibrateMsbo(
                                         "' has no ensemble");
     }
   }
-  for (const std::vector<LabeledFrame>& sample : samples) {
-    if (sample.empty()) {
+  for (const std::vector<LabeledFrame>* sample : samples) {
+    if (sample->empty()) {
       return Status::InvalidArgument("empty calibration sample");
     }
   }
@@ -40,7 +43,7 @@ Result<MsboCalibration> CalibrateMsbo(
     const DeepEnsemble& ensemble = *registry.at(static_cast<int>(j)).ensemble;
     for (size_t i = 0; i < m; ++i) {
       if (i == j) continue;
-      for (const LabeledFrame& lf : samples[i]) {
+      for (const LabeledFrame& lf : *samples[i]) {
         scores[j][i].push_back(ensemble.BrierScore(lf.pixels, lf.label));
       }
     }
@@ -71,7 +74,7 @@ Result<MsboCalibration> CalibrateMsbo(
     stats::RunningMoments own;
     for (int i = 0; i < registry.size(); ++i) {
       own.Add(registry.at(i).ensemble->AverageBrier(
-          samples[static_cast<size_t>(i)]));
+          *samples[static_cast<size_t>(i)]));
     }
     calibration.global_h = 1.5 * own.mean();
   }
@@ -91,6 +94,27 @@ Result<MsboCalibration> CalibrateMsbo(
     }
   }
   return calibration;
+}
+
+}  // namespace
+
+Result<MsboCalibration> CalibrateMsbo(
+    const ModelRegistry& registry,
+    const std::vector<std::vector<LabeledFrame>>& samples) {
+  std::vector<const std::vector<LabeledFrame>*> views;
+  views.reserve(samples.size());
+  for (const std::vector<LabeledFrame>& sample : samples) {
+    views.push_back(&sample);
+  }
+  return Calibrate(registry, views);
+}
+
+Result<MsboCalibration> CalibrateMsbo(
+    const ModelRegistry& registry, const std::vector<SharedSample>& samples) {
+  std::vector<const std::vector<LabeledFrame>*> views;
+  views.reserve(samples.size());
+  for (const SharedSample& sample : samples) views.push_back(&sample.frames());
+  return Calibrate(registry, views);
 }
 
 Msbo::Msbo(const ModelRegistry* registry, MsboCalibration calibration,

@@ -35,6 +35,10 @@ Result<MsboCalibration> CalibrateMsbo(
     const ModelRegistry& registry,
     const std::vector<std::vector<LabeledFrame>>& samples);
 
+/// The same calibration over shared samples (pipelines and fleet shards).
+Result<MsboCalibration> CalibrateMsbo(const ModelRegistry& registry,
+                                      const std::vector<SharedSample>& samples);
+
 /// \brief Which acceptance threshold MSBO applies to the winning model.
 enum class MsboThresholdRule {
   /// The §5.2.2 prose: accept iff the winner's Brier <= the global h

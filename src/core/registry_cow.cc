@@ -13,9 +13,8 @@ CowModelRegistry::Snapshot CowModelRegistry::TakeSnapshot() const {
   return models_;
 }
 
-bool CowModelRegistry::Publish(
-    const ModelEntry& entry,
-    const std::vector<LabeledFrame>& calibration_sample) {
+bool CowModelRegistry::Publish(const ModelEntry& entry,
+                               const SharedSample& calibration_sample) {
   // The name check runs under the lock so two racing publishers of the
   // same name resolve first-writer-wins.
   MutexLock lock(&mutex_);

@@ -21,10 +21,11 @@ Result<ModelEntry> CloneModelEntry(const ModelEntry& entry);
 
 /// \brief One model published into the fleet-shared registry: the entry
 /// plus the labeled calibration sample adopting streams need to extend
-/// their MSBO calibration.
+/// their MSBO calibration. Both are shared, never copied, by every
+/// snapshot and every shard that holds the model.
 struct PublishedModel {
   ModelEntry entry;
-  std::vector<LabeledFrame> calibration_sample;
+  SharedSample calibration_sample;
 };
 
 /// \brief Copy-on-write shared model registry (ROADMAP item 1).
@@ -54,12 +55,11 @@ class CowModelRegistry {
   /// publications do not mutate it.
   Snapshot TakeSnapshot() const;
 
-  /// Appends `entry` (sharing its models) with its calibration sample.
-  /// First-writer-wins by name: returns false (and publishes nothing) when
-  /// a model of the same name is already published.
-  [[nodiscard]] bool Publish(
-      const ModelEntry& entry,
-      const std::vector<LabeledFrame>& calibration_sample);
+  /// Appends `entry` (sharing its models) with its calibration sample
+  /// (shared too). First-writer-wins by name: returns false (and publishes
+  /// nothing) when a model of the same name is already published.
+  [[nodiscard]] bool Publish(const ModelEntry& entry,
+                             const SharedSample& calibration_sample);
 
   /// Index of the published model with this name in the current snapshot,
   /// or -1.

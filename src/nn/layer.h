@@ -12,13 +12,20 @@ namespace vdrift::nn {
 /// \brief A trainable parameter: value plus accumulated gradient.
 struct Parameter {
   tensor::Tensor value;
+  /// Empty until training first needs it (ZeroGrad or a backward pass),
+  /// so a model that only runs inference carries no gradient buffers.
   tensor::Tensor grad;
 
-  explicit Parameter(tensor::Shape shape)
-      : value(shape), grad(std::move(shape)) {}
+  explicit Parameter(tensor::Shape shape) : value(std::move(shape)) {}
 
   /// Resets the accumulated gradient to zero.
-  void ZeroGrad() { grad.Zero(); }
+  void ZeroGrad() { MutableGrad().Zero(); }
+
+  /// The gradient, allocated as zeros (value's shape) on first use.
+  tensor::Tensor& MutableGrad() {
+    if (grad.shape() != value.shape()) grad = tensor::Tensor(value.shape());
+    return grad;
+  }
 };
 
 /// \brief The per-call record one Forward leaves for its Backward.

@@ -86,10 +86,10 @@ Tensor Linear::Backward(const Tensor& grad_output, const Tape& tape) {
            out_features_));
   // dW += dY^T X ; db += column sums of dY ; dX = dY W.
   Tensor dw = tensor::MatmulTransposedA(grad_output, tape.tensors[0]);
-  tensor::AddInPlace(&weight_.grad, dw);
+  tensor::AddInPlace(&weight_.MutableGrad(), dw);
   int64_t n = grad_output.shape().dim(0);
   const float* pdy = grad_output.data();
-  float* pdb = bias_.grad.data();
+  float* pdb = bias_.MutableGrad().data();
   // Columns of db are independent; each keeps the serial (ascending i)
   // accumulation order.
   ParallelFor(0, out_features_, GrainForCost(n),
@@ -146,22 +146,19 @@ Tensor Conv2d::Forward(const Tensor& input, Tape* tape) const {
   // Samples are independent: each writes its own output block and tape
   // slot (pre-sized above, so no container mutation races). Nested
   // tensor-op parallelism runs inline inside a sample chunk.
+  const int64_t in_sample = static_cast<int64_t>(in_channels_) * in_h * in_w;
   ParallelFor(0, n, 1, [&](int64_t s_begin, int64_t s_end) {
     for (int64_t s = s_begin; s < s_end; ++s) {
-      // View of sample s as [C, H, W].
-      Tensor sample(Shape{in_channels_, in_h, in_w});
-      const float* src =
-          input.data() + s * in_channels_ * static_cast<int64_t>(in_h) * in_w;
-      std::copy(src, src + sample.size(), sample.data());
-      Tensor cols = tensor::Im2Col(sample, kernel_, kernel_, stride_, pad_,
-                                   out_h, out_w);
-      Tensor result = tensor::Matmul(weight_.value, cols);
+      // im2col reads sample s in place; the GEMM writes straight into its
+      // output block, where the bias is then added.
+      Tensor cols = tensor::Im2Col(input.data() + s * in_sample, in_channels_,
+                                   in_h, in_w, kernel_, kernel_, stride_,
+                                   pad_, out_h, out_w);
       float* dst = out.data() + s * out_channels_ * plane;
+      tensor::MatmulInto(weight_.value, cols, dst);
       for (int64_t c = 0; c < out_channels_; ++c) {
         float b = bias_.value[c];
-        for (int64_t p = 0; p < plane; ++p) {
-          dst[c * plane + p] = result[c * plane + p] + b;
-        }
+        for (int64_t p = 0; p < plane; ++p) dst[c * plane + p] += b;
       }
       if (tape != nullptr) {
         tape->tensors[static_cast<size_t>(s)] = std::move(cols);
@@ -229,11 +226,13 @@ Tensor Conv2d::Backward(const Tensor& grad_output, const Tape& tape) {
       std::copy(dx.data(), dx.data() + dx.size(), dst);
     }
   });
+  Tensor& weight_grad = weight_.MutableGrad();
+  Tensor& bias_grad = bias_.MutableGrad();
   for (int64_t s = 0; s < n; ++s) {
-    tensor::AddInPlace(&weight_.grad, sample_dw[static_cast<size_t>(s)]);
+    tensor::AddInPlace(&weight_grad, sample_dw[static_cast<size_t>(s)]);
     const std::vector<float>& db = sample_db[static_cast<size_t>(s)];
     for (int64_t c = 0; c < out_channels_; ++c) {
-      bias_.grad[c] += db[static_cast<size_t>(c)];
+      bias_grad[c] += db[static_cast<size_t>(c)];
     }
   }
   return grad_input;

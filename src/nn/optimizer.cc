@@ -15,9 +15,10 @@ Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
 void Sgd::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
+    const tensor::Tensor& grad = p->MutableGrad();
     tensor::Tensor& vel = velocity_[i];
     for (int64_t j = 0; j < p->value.size(); ++j) {
-      vel[j] = momentum_ * vel[j] - lr_ * p->grad[j];
+      vel[j] = momentum_ * vel[j] - lr_ * grad[j];
       p->value[j] += vel[j];
     }
   }
@@ -44,10 +45,11 @@ void Adam::Step() {
   double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
+    const tensor::Tensor& grad = p->MutableGrad();
     tensor::Tensor& m = m_[i];
     tensor::Tensor& v = v_[i];
     for (int64_t j = 0; j < p->value.size(); ++j) {
-      float g = p->grad[j];
+      float g = grad[j];
       m[j] = beta1_ * m[j] + (1.0f - beta1_) * g;
       v[j] = beta2_ * v[j] + (1.0f - beta2_) * g * g;
       double mhat = static_cast<double>(m[j]) / bc1;

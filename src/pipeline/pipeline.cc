@@ -23,6 +23,20 @@ constexpr char kRunSpan[] = "vdrift.pipeline.run_seconds";
 constexpr char kDetectSpan[] = "vdrift.pipeline.detect_seconds";
 constexpr char kSelectSpan[] = "vdrift.pipeline.select_seconds";
 constexpr char kQuerySpan[] = "vdrift.pipeline.query_seconds";
+// MSBO (re)calibration: the first Run's, and each after a model is trained
+// or adopted. The first runs before the run span opens, so it is a root.
+constexpr char kCalibrateSpan[] = "vdrift.pipeline.calibrate_seconds";
+
+// Takes each sample into shared ownership, without copying its frames.
+std::vector<select::SharedSample> Share(
+    std::vector<std::vector<select::LabeledFrame>> samples) {
+  std::vector<select::SharedSample> shared;
+  shared.reserve(samples.size());
+  for (std::vector<select::LabeledFrame>& sample : samples) {
+    shared.emplace_back(std::move(sample));
+  }
+  return shared;
+}
 
 // Creates the per-run registry + episode recorder on `metrics`.
 void AttachObservability(PipelineMetrics* metrics) {
@@ -95,6 +109,13 @@ DriftAwarePipeline::DriftAwarePipeline(
     select::ModelRegistry* registry,
     std::vector<std::vector<select::LabeledFrame>> calibration_samples,
     const PipelineConfig& config)
+    : DriftAwarePipeline(registry, Share(std::move(calibration_samples)),
+                         config) {}
+
+DriftAwarePipeline::DriftAwarePipeline(
+    select::ModelRegistry* registry,
+    std::vector<select::SharedSample> calibration_samples,
+    const PipelineConfig& config)
     : registry_(registry),
       calibration_samples_(std::move(calibration_samples)),
       config_(config),
@@ -137,6 +158,7 @@ void DriftAwarePipeline::AttachRunObservability() {
   names_.detect_span = named(kDetectSpan);
   names_.select_span = named(kSelectSpan);
   names_.query_span = named(kQuerySpan);
+  names_.calibrate_span = named(kCalibrateSpan);
   names_.frames = named("vdrift.pipeline.frames");
   names_.drifts = named("vdrift.pipeline.drifts");
   names_.frames_dropped = named("vdrift.pipeline.frames_dropped");
@@ -212,6 +234,7 @@ void DriftAwarePipeline::TickObs(bool force) {
 }
 
 Status DriftAwarePipeline::Recalibrate() {
+  obs::TraceSpan span(metrics_.registry.get(), names_.calibrate_span);
   VDRIFT_ASSIGN_OR_RETURN(
       calibration_, select::CalibrateMsbo(*registry_, calibration_samples_));
   calibrated_ = true;
@@ -424,7 +447,7 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
         select::ModelEntry entry,
         ProvisionModel(name, recovery_.training, config_.provision, &rng_));
     int index = registry_->Add(std::move(entry));
-    calibration_samples_.push_back(MakeLabeledSample(
+    calibration_samples_.emplace_back(MakeLabeledSample(
         recovery_.training, config_.provision.count_classes, 32, &rng_));
     if (config_.selector == PipelineConfig::Selector::kMsbo) {
       Status recalibrated = Recalibrate();
@@ -445,9 +468,8 @@ Status DriftAwarePipeline::ContinueDriftHandling(video::FrameSource* stream,
   return Status::OK();
 }
 
-Status DriftAwarePipeline::AdoptModel(
-    const select::ModelEntry& entry,
-    const std::vector<select::LabeledFrame>& sample) {
+Status DriftAwarePipeline::AdoptModel(const select::ModelEntry& entry,
+                                      const select::SharedSample& sample) {
   if (registry_->FindByName(entry.name) >= 0) return Status::OK();
   registry_->Add(entry);
   calibration_samples_.push_back(sample);

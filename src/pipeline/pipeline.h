@@ -242,6 +242,10 @@ class DriftAwarePipeline {
  public:
   /// `registry` must outlive the pipeline. `calibration_samples` holds the
   /// labeled S_Ti sample per registry entry (MSBO calibration, §5.2.2).
+  DriftAwarePipeline(select::ModelRegistry* registry,
+                     std::vector<select::SharedSample> calibration_samples,
+                     const PipelineConfig& config);
+  /// The same over samples the pipeline takes into shared ownership.
   DriftAwarePipeline(
       select::ModelRegistry* registry,
       std::vector<std::vector<select::LabeledFrame>> calibration_samples,
@@ -275,8 +279,7 @@ class DriftAwarePipeline {
   /// order. Entries appended by trainNewModel carry the sample drawn from
   /// their training window — the fleet publishes it alongside the model
   /// so adopting streams can recalibrate.
-  const std::vector<std::vector<select::LabeledFrame>>& calibration_samples()
-      const {
+  const std::vector<select::SharedSample>& calibration_samples() const {
     return calibration_samples_;
   }
 
@@ -288,7 +291,7 @@ class DriftAwarePipeline {
   /// the new entry gets a permissive calibration extension and the
   /// failure is counted, never fatal.
   Status AdoptModel(const select::ModelEntry& entry,
-                    const std::vector<select::LabeledFrame>& sample);
+                    const select::SharedSample& sample);
 
   /// The active drift inspector (tests probe its martingale trajectory).
   const conformal::DriftInspector& inspector() const { return *inspector_; }
@@ -319,7 +322,8 @@ class DriftAwarePipeline {
   /// set every name carries a {stream="..."} label so several pipelines
   /// can share one registry.
   struct ObsNames {
-    std::string run_span, detect_span, select_span, query_span;
+    std::string run_span, detect_span, select_span, query_span,
+        calibrate_span;
     std::string frames, drifts, frames_dropped, selection_failures,
         redeployments, checkpoint_failures;
     std::string detect_lag, drift_oblivious, incumbent_fallbacks,
@@ -377,7 +381,7 @@ class DriftAwarePipeline {
   void TickObs(bool force);
 
   select::ModelRegistry* registry_;
-  std::vector<std::vector<select::LabeledFrame>> calibration_samples_;
+  std::vector<select::SharedSample> calibration_samples_;
   PipelineConfig config_;
   select::MsboCalibration calibration_;
   bool calibrated_ = false;

@@ -89,7 +89,7 @@ Status DriftFleet::AddBaseModel(
     return Status::FailedPrecondition(
         "base models must be published before any stream is added");
   }
-  if (!published_.Publish(entry, sample)) {
+  if (!published_.Publish(entry, select::SharedSample(sample))) {
     return Status::InvalidArgument("base model name already published: " +
                                    entry.name);
   }
@@ -112,6 +112,14 @@ Status DriftFleet::AddBaseModels(
   return Status::OK();
 }
 
+const pipeline::DriftAwarePipeline* DriftFleet::shard_pipeline(
+    const std::string& label) const {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (shard->label == label) return shard->pipeline.get();
+  }
+  return nullptr;
+}
+
 DriftFleet::Shard* DriftFleet::FindShard(const std::string& label) {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->label == label) return shard.get();
@@ -123,7 +131,8 @@ Status DriftFleet::BuildShardPipeline(
     Shard* shard, const std::vector<std::string>& fingerprint) {
   select::CowModelRegistry::Snapshot snapshot = published_.TakeSnapshot();
   auto registry = std::make_unique<select::ModelRegistry>();
-  std::vector<std::vector<select::LabeledFrame>> samples;
+  // Samples are shared with the published (or rejected) entry, not copied.
+  std::vector<select::SharedSample> samples;
   samples.reserve(fingerprint.size());
   for (const std::string& name : fingerprint) {
     const select::PublishedModel* found = FindModel(*snapshot, name);
@@ -150,7 +159,7 @@ Status DriftFleet::BuildShardPipeline(
   config.obs.stream_label = shard->label;
   config.obs.shared_registry = registry_;
   auto pipeline = std::make_unique<pipeline::DriftAwarePipeline>(
-      registry.get(), samples, config);
+      registry.get(), std::move(samples), config);
   shard->registry = std::move(registry);
   shard->pipeline = std::move(pipeline);
   shard->synced_entries = shard->registry->size();
@@ -282,10 +291,10 @@ Status DriftFleet::PublishShardModels(Shard* shard) {
   // Incumbents are everything the shard held at the last barrier.
   const int incumbents_end = shard->synced_entries;
   for (int i = shard->synced_entries; i < registry.size(); ++i) {
-    const std::vector<select::LabeledFrame> sample =
+    const select::SharedSample sample =
         i < static_cast<int>(samples.size())
             ? samples[static_cast<size_t>(i)]
-            : std::vector<select::LabeledFrame>{};
+            : select::SharedSample({});
     std::vector<const select::ModelEntry*> incumbents;
     incumbents.reserve(static_cast<size_t>(incumbents_end));
     for (int j = 0; j < incumbents_end; ++j) {
@@ -590,6 +599,11 @@ Result<FleetReport> DriftFleet::Run() {
       stream_report.health = shard->health.state;
       if (shard->pipeline != nullptr) {
         stream_report.metrics = shard->pipeline->metrics();
+        // The report holds values. The instruments stay with the fleet
+        // (registry(), shard_pipeline()), so a report kept after the
+        // fleet is gone does not pin them.
+        stream_report.metrics.registry.reset();
+        stream_report.metrics.episodes.reset();
       }
       stream_report.frames = shard->stream->position();
       stream_report.slices = shard->slices;

@@ -96,7 +96,10 @@ struct StreamReport {
   std::string label;
   Status status = Status::OK();  ///< The quarantine cause when quarantined.
   HealthState health = HealthState::kHealthy;  ///< Final supervision state.
-  pipeline::PipelineMetrics metrics;  ///< Cumulative pipeline metrics.
+  /// Cumulative pipeline metrics. Values only: the instrument handles
+  /// (registry, episodes, sampler, watchdog) are null; read the live ones
+  /// through DriftFleet::registry() and DriftFleet::shard_pipeline().
+  pipeline::PipelineMetrics metrics;
   int64_t frames = 0;    ///< Stream cursor at the end (frames consumed).
   int64_t slices = 0;    ///< Scheduling slices the shard ran.
   int restarts = 0;      ///< Chaos kills + failed-slice restarts consumed.
@@ -197,6 +200,9 @@ class DriftFleet {
   }
   /// The shared copy-on-write model registry.
   const select::CowModelRegistry& published() const { return published_; }
+  /// The pipeline serving stream `label`, or null for an unknown label.
+  const pipeline::DriftAwarePipeline* shard_pipeline(
+      const std::string& label) const;
   /// Fleet sampler / watchdog (null unless armed by FleetOptions).
   const std::shared_ptr<obs::MetricsSampler>& sampler() const {
     return sampler_;

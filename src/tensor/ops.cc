@@ -1,7 +1,11 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "obs/trace_log.h"
 #include "runtime/parallel.h"
+#include "tensor/gemm.h"
 
 namespace vdrift::tensor {
 
@@ -25,6 +29,18 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
 int64_t GemmFlops(int64_t m, int64_t k, int64_t n) { return 2 * m * k * n; }
 int64_t GemmBytes(int64_t m, int64_t k, int64_t n) {
   return static_cast<int64_t>(sizeof(float)) * (m * k + k * n + m * n);
+}
+
+// The outputs o in [0, out) of one convolution axis whose input index
+// o * stride + offset lies inside [0, extent), as a half-open range.
+std::pair<int, int> InsideRange(int offset, int extent, int stride,
+                                int out) {
+  // Smallest o >= 0 with o * stride >= bound.
+  auto first_at_least = [stride](int bound) {
+    return bound <= 0 ? 0 : (bound + stride - 1) / stride;
+  };
+  const int end = std::min(out, first_at_least(extent - offset));
+  return {std::min(end, first_at_least(-offset)), end};
 }
 
 // Elementwise loops parallelize per index; each element's computation is
@@ -101,6 +117,13 @@ void AxpyInPlace(Tensor* a, const Tensor& b, float s) {
 
 Tensor Matmul(const Tensor& a, const Tensor& b) {
   VDRIFT_CHECK(a.shape().ndim() == 2 && b.shape().ndim() == 2);
+  Tensor out(Shape{a.shape().dim(0), b.shape().dim(1)});
+  MatmulInto(a, b, out.data());
+  return out;
+}
+
+void MatmulInto(const Tensor& a, const Tensor& b, float* out) {
+  VDRIFT_CHECK(a.shape().ndim() == 2 && b.shape().ndim() == 2);
   int64_t m = a.shape().dim(0);
   int64_t k = a.shape().dim(1);
   VDRIFT_CHECK(b.shape().dim(0) == k)
@@ -109,25 +132,16 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   int64_t n = b.shape().dim(1);
   VDRIFT_OP_PROBE("tensor", "matmul", GemmFlops(m, k, n),
                   GemmBytes(m, k, n));
-  Tensor out(Shape{m, n});
   const float* pa = a.data();
   const float* pb = b.data();
-  float* po = out.data();
-  // Rows of C are independent; within a row the i-k-j order streams over
-  // contiguous rows of B and C, and each C element accumulates its k
-  // terms in ascending order on one thread — bit-identical to serial.
+  const gemm::RowsKernel rows = gemm::Rows();
+  // Rows of C are independent, and the kernel gives each C element the
+  // same k-ordered sequence wherever its row lands in a chunk, so every
+  // chunking is bit-identical to serial (see tensor/gemm.h).
   ParallelFor(0, m, GrainForCost(2 * k * n),
               [&](int64_t row_begin, int64_t row_end) {
-                for (int64_t i = row_begin; i < row_end; ++i) {
-                  float* crow = po + i * n;
-                  for (int64_t kk = 0; kk < k; ++kk) {
-                    float aik = pa[i * k + kk];
-                    const float* brow = pb + kk * n;
-                    for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-                  }
-                }
+                rows(pa, pb, out, k, n, row_begin, row_end);
               });
-  return out;
 }
 
 Tensor MatmulTransposedB(const Tensor& a, const Tensor& b) {
@@ -222,17 +236,23 @@ double Mean(const Tensor& a) {
 Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad,
               int out_h, int out_w) {
   VDRIFT_CHECK(input.shape().ndim() == 3);
-  int64_t channels = input.shape().dim(0);
-  int64_t height = input.shape().dim(1);
-  int64_t width = input.shape().dim(2);
-  int64_t rows = channels * kh * kw;
+  return Im2Col(input.data(), static_cast<int>(input.shape().dim(0)),
+                static_cast<int>(input.shape().dim(1)),
+                static_cast<int>(input.shape().dim(2)), kh, kw, stride, pad,
+                out_h, out_w);
+}
+
+Tensor Im2Col(const float* input, int channels, int height, int width, int kh,
+              int kw, int stride, int pad, int out_h, int out_w) {
+  int64_t rows = static_cast<int64_t>(channels) * kh * kw;
   int64_t cols = static_cast<int64_t>(out_h) * out_w;
   // Pure data movement: 0 FLOPs, input read once + output written once.
   VDRIFT_OP_PROBE("tensor", "im2col", 0,
                   static_cast<int64_t>(sizeof(float)) *
-                      (input.size() + rows * cols));
+                      (static_cast<int64_t>(channels) * height * width +
+                       rows * cols));
+  // Zero-initialized, so the padding cells need no writes.
   Tensor out(Shape{rows, cols});
-  const float* in = input.data();
   float* po = out.data();
   // Each output row belongs to one (c, ky, kx) triple — thread-private.
   ParallelFor(0, rows, GrainForCost(cols), [&](int64_t row_begin,
@@ -241,17 +261,19 @@ Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad,
       int64_t c = row / (kh * kw);
       int ky = static_cast<int>((row / kw) % kh);
       int kx = static_cast<int>(row % kw);
+      // The outputs whose input cell is inside the image; the loops below
+      // copy exactly those, with no per-element bounds check.
+      const auto [oy_begin, oy_end] =
+          InsideRange(ky - pad, height, stride, out_h);
+      const auto [ox_begin, ox_end] =
+          InsideRange(kx - pad, width, stride, out_w);
       float* orow = po + row * cols;
-      for (int oy = 0; oy < out_h; ++oy) {
-        int iy = oy * stride + ky - pad;
-        bool y_ok = iy >= 0 && iy < height;
-        for (int ox = 0; ox < out_w; ++ox) {
-          int ix = ox * stride + kx - pad;
-          float v = 0.0f;
-          if (y_ok && ix >= 0 && ix < width) {
-            v = in[(c * height + iy) * width + ix];
-          }
-          orow[oy * out_w + ox] = v;
+      for (int oy = oy_begin; oy < oy_end; ++oy) {
+        const int iy = oy * stride + ky - pad;
+        const float* in_row = input + (c * height + iy) * width;
+        float* o = orow + static_cast<int64_t>(oy) * out_w;
+        for (int ox = ox_begin; ox < ox_end; ++ox) {
+          o[ox] = in_row[ox * stride + kx - pad];
         }
       }
     }

@@ -19,7 +19,13 @@ void AddInPlace(Tensor* a, const Tensor& b);
 void AxpyInPlace(Tensor* a, const Tensor& b, float s);
 
 /// Matrix product of a [m, k] tensor with a [k, n] tensor -> [m, n].
+/// Runs the register-blocked kernel of tensor/gemm.h (AVX2 when the CPU
+/// has it); bit-identical to the scalar i-k-j loop on every build.
 Tensor Matmul(const Tensor& a, const Tensor& b);
+
+/// Matmul into caller-owned storage: overwrites the m * n row-major floats
+/// at `out` with a [m, k] x b [k, n].
+void MatmulInto(const Tensor& a, const Tensor& b, float* out);
 
 /// Matrix product with B transposed: a [m, k] x b [n, k] -> [m, n].
 Tensor MatmulTransposedB(const Tensor& a, const Tensor& b);
@@ -41,6 +47,11 @@ double Mean(const Tensor& a);
 /// Out-of-bounds (padding) cells are zero.
 Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad,
               int out_h, int out_w);
+
+/// Im2Col of the [channels, height, width] row-major image at `input`
+/// (e.g. one sample of an NCHW batch, read in place).
+Tensor Im2Col(const float* input, int channels, int height, int width, int kh,
+              int kw, int stride, int pad, int out_h, int out_w);
 
 /// Inverse of Im2Col: scatters (accumulates) columns back into a [C, H, W]
 /// tensor. Used by the convolution backward pass.

@@ -2,6 +2,7 @@
 // finite-difference gradient checks on every layer and loss, plus
 // end-to-end convergence tests (linear regression, XOR, a small conv net).
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -142,6 +143,66 @@ TEST(Conv2dTest, KnownKernelForward) {
   EXPECT_FLOAT_EQ(y.At4(0, 0, 0, 1), 2 + 3 + 5 + 6);
   EXPECT_FLOAT_EQ(y.At4(0, 0, 1, 0), 4 + 5 + 7 + 8);
   EXPECT_FLOAT_EQ(y.At4(0, 0, 1, 1), 5 + 6 + 8 + 9);
+}
+
+// Direct convolution in the summation order Conv2d's GEMM uses: each output
+// starts at 0.0f, adds weight * input over the patch in ascending
+// (channel, ky, kx) order (padding taps read 0), then adds the bias.
+Tensor DirectConv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                    int kernel, int stride, int pad) {
+  const int64_t n = x.shape().dim(0);
+  const int64_t in_c = x.shape().dim(1);
+  const int64_t in_h = x.shape().dim(2);
+  const int64_t in_w = x.shape().dim(3);
+  const int64_t out_c = weight.shape().dim(0);
+  const int out_h = tensor::ConvOutDim(static_cast<int>(in_h), kernel, stride,
+                                       pad);
+  const int out_w = tensor::ConvOutDim(static_cast<int>(in_w), kernel, stride,
+                                       pad);
+  Tensor y(Shape{n, out_c, out_h, out_w});
+  for (int64_t s = 0; s < n; ++s) {
+    for (int64_t oc = 0; oc < out_c; ++oc) {
+      for (int oy = 0; oy < out_h; ++oy) {
+        for (int ox = 0; ox < out_w; ++ox) {
+          float acc = 0.0f;
+          for (int64_t c = 0; c < in_c; ++c) {
+            for (int ky = 0; ky < kernel; ++ky) {
+              for (int kx = 0; kx < kernel; ++kx) {
+                const int64_t iy = oy * stride + ky - pad;
+                const int64_t ix = ox * stride + kx - pad;
+                const bool inside =
+                    iy >= 0 && iy < in_h && ix >= 0 && ix < in_w;
+                const float v = inside ? x.At4(s, c, iy, ix) : 0.0f;
+                acc += weight.At2(oc, (c * kernel + ky) * kernel + kx) * v;
+              }
+            }
+          }
+          y.At4(s, oc, oy, ox) = acc + bias[oc];
+        }
+      }
+    }
+  }
+  return y;
+}
+
+// The lean forward (im2col straight from the batch, GEMM into the output
+// block, bias added in place) against the direct convolution, bit for bit,
+// at the classifier's 3x3 pad-1 strides 1 and 2. Inputs are ReLU-like, so
+// zeros flow through the products.
+TEST(Conv2dTest, ForwardIsBitIdenticalToDirectConvolution) {
+  Rng rng(6);
+  for (int stride : {1, 2}) {
+    Conv2d conv(3, 13, 3, stride, 1, &rng);
+    conv.Params()[1]->value = RandomTensor(Shape{13}, &rng);
+    Tensor x = RandomTensor(Shape{3, 3, 9, 14}, &rng);
+    for (int64_t i = 0; i < x.size(); ++i) x[i] = std::max(0.0f, x[i]);
+    SCOPED_TRACE(testing::Message() << "stride " << stride);
+    Tensor expect = DirectConv2d(x, conv.Params()[0]->value,
+                                 conv.Params()[1]->value, 3, stride, 1);
+    ExpectBitwiseEqual(conv.Forward(x), expect);
+    Tape tape;
+    ExpectBitwiseEqual(conv.Forward(x, &tape), expect);
+  }
 }
 
 TEST(Conv2dTest, StrideAndPaddingShapes) {
@@ -453,6 +514,36 @@ TEST(AdamTest, ConvNetLearnsBrightVsDark) {
     if (pred == labels[static_cast<size_t>(i)]) ++correct;
   }
   EXPECT_GE(correct, 58) << "conv net failed to learn a separable problem";
+}
+
+TEST(ParameterTest, GradientIsAllocatedOnlyWhenTrainingNeedsIt) {
+  Rng rng(7);
+  Conv2d conv(2, 3, 3, 1, 1, &rng);
+  Tensor x = RandomTensor(Shape{1, 2, 5, 5}, &rng);
+  Tape tape;
+  Tensor y = conv.Forward(x, &tape);
+  // Inference, even with a tape, leaves the gradient buffers unallocated.
+  for (Parameter* p : conv.Params()) EXPECT_TRUE(p->grad.empty());
+  // A backward pass allocates them as zeros and accumulates into them,
+  // exactly as into buffers zeroed up front.
+  conv.Backward(ObjectiveGrad(y), tape);
+  Conv2d zeroed(2, 3, 3, 1, 1, &rng);
+  for (size_t i = 0; i < zeroed.Params().size(); ++i) {
+    zeroed.Params()[i]->value = conv.Params()[i]->value;
+    zeroed.Params()[i]->ZeroGrad();
+  }
+  Tape zeroed_tape;
+  zeroed.Forward(x, &zeroed_tape);
+  zeroed.Backward(ObjectiveGrad(y), zeroed_tape);
+  for (size_t i = 0; i < conv.Params().size(); ++i) {
+    ExpectBitwiseEqual(conv.Params()[i]->grad, zeroed.Params()[i]->grad);
+  }
+  // ZeroGrad keeps the buffer and clears it.
+  conv.Params()[0]->ZeroGrad();
+  EXPECT_EQ(conv.Params()[0]->grad.shape(), conv.Params()[0]->value.shape());
+  for (int64_t i = 0; i < conv.Params()[0]->grad.size(); ++i) {
+    ASSERT_EQ(conv.Params()[0]->grad[i], 0.0f);
+  }
 }
 
 TEST(SequentialTest, ParamsAggregatesAllLayers) {

@@ -16,6 +16,7 @@
 #include "common/env.h"
 #include "fault/fault.h"
 #include "fault/faulty_stream.h"
+#include "obs/labels.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/provision.h"
@@ -90,6 +91,32 @@ TEST_F(PipelineFixture, MsboPipelineTracksSequences) {
   ASSERT_EQ(static_cast<int>(episodes.size()), metrics.drifts_detected);
   EXPECT_EQ(episodes[0].decision, metrics.selections[0]);
   EXPECT_TRUE(episodes[0].frames.back().drift);
+}
+
+// Calibration CPU has a name: one per-stream span per (re)calibration,
+// including the first Run's, which runs before the run span opens.
+TEST_F(PipelineFixture, EveryCalibrationRecordsOneCalibrateSpan) {
+  video::StreamGenerator stream = bench_->dataset.MakeStream();
+  PipelineConfig config = BaseConfig(PipelineConfig::Selector::kMsbo);
+  config.obs.stream_label = "cam";
+  select::ModelRegistry registry = bench_->registry;
+  DriftAwarePipeline pipeline(&registry, bench_->calibration_samples, config);
+  RunOptions slice;
+  slice.max_frames = 32;
+  ASSERT_TRUE(pipeline.Run(&stream, slice).ok());
+  ASSERT_TRUE(pipeline.Run(&stream, slice).ok());
+  const std::string span = obs::FormatMetricKey(
+      "vdrift.pipeline.calibrate_seconds", {{"stream", "cam"}});
+  obs::MetricsRegistry& reg = *pipeline.metrics().registry;
+  EXPECT_EQ(reg.GetHistogram(span).count(), 1);
+  // Adopting a model recalibrates, once.
+  select::ModelEntry adopted = registry.at(0);
+  adopted.name = "adopted";
+  ASSERT_TRUE(pipeline
+                  .AdoptModel(adopted, select::SharedSample(
+                                           bench_->calibration_samples[0]))
+                  .ok());
+  EXPECT_EQ(reg.GetHistogram(span).count(), 2);
 }
 
 TEST(SequenceAccuracyTest, InvocationsPerFrameCoversAllQueryMixes) {

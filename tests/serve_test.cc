@@ -202,6 +202,9 @@ TEST_F(FleetFixture, EightStreamFleetIsDeterministicAcrossThreadCounts) {
     EXPECT_GE(stream.metrics.drifts_detected, 2) << stream.label;
     EXPECT_EQ(stream.restarts, 0) << stream.label;
     ExpectBooksBalance(stream);
+    // Reports hold values; the instruments stay with the fleet.
+    EXPECT_EQ(stream.metrics.registry, nullptr) << stream.label;
+    EXPECT_EQ(stream.metrics.episodes, nullptr) << stream.label;
   }
   // Fleet-level tallies agree too.
   EXPECT_EQ(serial.report.rounds, parallel.report.rounds);
@@ -416,7 +419,7 @@ TEST_F(FleetWiringTest, CowRegistryPublishesAtomicSnapshots) {
   select::CowModelRegistry cow;
   EXPECT_EQ(cow.size(), 0);
   select::CowModelRegistry::Snapshot before = cow.TakeSnapshot();
-  ASSERT_TRUE(cow.Publish(*day_, *sample_));
+  ASSERT_TRUE(cow.Publish(*day_, select::SharedSample(*sample_)));
   // The old snapshot is immutable; a fresh one sees the publication.
   EXPECT_TRUE(before->empty());
   select::CowModelRegistry::Snapshot after = cow.TakeSnapshot();
@@ -425,7 +428,7 @@ TEST_F(FleetWiringTest, CowRegistryPublishesAtomicSnapshots) {
   EXPECT_EQ(cow.FindByName("Day"), 0);
   EXPECT_EQ(cow.FindByName("Night"), -1);
   // First writer wins: a second "Day" publishes nothing.
-  EXPECT_FALSE(cow.Publish(*day_, *sample_));
+  EXPECT_FALSE(cow.Publish(*day_, select::SharedSample(*sample_)));
   EXPECT_EQ(cow.size(), 1);
 }
 
@@ -1086,7 +1089,7 @@ TEST_F(FleetWiringTest, PublishedEntriesShareTheCallersModels) {
   ASSERT_TRUE(fleet.AddBaseModel(*day_, *sample_).ok());
   ASSERT_TRUE(fleet.AddStream({"s0", &stream, nullptr}).ok());
   select::CowModelRegistry cow;
-  ASSERT_TRUE(cow.Publish(*day_, *sample_));
+  ASSERT_TRUE(cow.Publish(*day_, select::SharedSample(*sample_)));
   for (const select::CowModelRegistry::Snapshot& snapshot :
        {fleet.published().TakeSnapshot(), cow.TakeSnapshot()}) {
     ASSERT_EQ(snapshot->size(), 1u);
@@ -1096,6 +1099,57 @@ TEST_F(FleetWiringTest, PublishedEntriesShareTheCallersModels) {
     EXPECT_EQ(stored.profile.get(), day_->profile.get());
     EXPECT_EQ(stored.predicate_model.get(), day_->predicate_model.get());
   }
+}
+
+TEST_F(FleetWiringTest, ShardsShareThePublishedCalibrationSamples) {
+  // A calibration sample never changes once drawn, so the shared registry
+  // holds one copy and every shard's pipeline reads that same object.
+  video::SyntheticDataset ds = video::MakeBddSynthetic(0.002);
+  std::vector<video::StreamGenerator> streams = {ds.MakeStream(),
+                                                 ds.MakeStream(),
+                                                 ds.MakeStream()};
+  FleetOptions options;
+  options.pipeline.provision = benchutil::DefaultWorkbenchOptions().provision;
+  DriftFleet fleet(options);
+  select::ModelEntry night = *day_;
+  night.name = "Night";
+  ASSERT_TRUE(fleet.AddBaseModel(*day_, *sample_).ok());
+  ASSERT_TRUE(fleet.AddBaseModel(night, *sample_).ok());
+  const std::vector<std::string> labels = {"s0", "s1", "s2"};
+  for (size_t i = 0; i < labels.size(); ++i) {
+    ASSERT_TRUE(fleet.AddStream({labels[i], &streams[i], nullptr}).ok());
+  }
+  select::CowModelRegistry::Snapshot published =
+      fleet.published().TakeSnapshot();
+  ASSERT_EQ(published->size(), 2u);
+  // Publication took one copy of the caller's vector, not an alias.
+  EXPECT_NE(&(*published)[0].calibration_sample.frames(), sample_);
+  for (const std::string& label : labels) {
+    const pipeline::DriftAwarePipeline* shard = fleet.shard_pipeline(label);
+    ASSERT_NE(shard, nullptr);
+    const std::vector<select::SharedSample>& samples =
+        shard->calibration_samples();
+    ASSERT_EQ(samples.size(), published->size());
+    for (size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(&samples[i].frames(),
+                &(*published)[i].calibration_sample.frames())
+          << label << " sample " << i;
+    }
+  }
+  EXPECT_EQ(fleet.shard_pipeline("ghost"), nullptr);
+
+  // Adoption shares too: the adopting pipeline appends the published object.
+  select::ModelRegistry registry;
+  registry.Add(*day_);
+  pipeline::DriftAwarePipeline adopter(
+      &registry,
+      std::vector<select::SharedSample>{(*published)[0].calibration_sample},
+      options.pipeline);
+  ASSERT_TRUE(
+      adopter.AdoptModel(night, (*published)[1].calibration_sample).ok());
+  ASSERT_EQ(adopter.calibration_samples().size(), 2u);
+  EXPECT_EQ(&adopter.calibration_samples()[1].frames(),
+            &(*published)[1].calibration_sample.frames());
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Tests for the tensor library: shape handling, elementwise ops, matrix
 // products (checked against a naive reference), and im2col/col2im.
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "runtime/parallel.h"
 #include "stats/rng.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -38,6 +44,17 @@ Tensor NaiveMatmul(const Tensor& a, const Tensor& b) {
     }
   }
   return out;
+}
+
+// The GEMM kernel's contract has no tolerance: same shape, and every
+// element has the same bits (this also tells +0 from -0).
+void ExpectBitwiseEqual(const Tensor& actual, const Tensor& expect) {
+  ASSERT_EQ(actual.shape(), expect.shape());
+  for (int64_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(actual[i]),
+              std::bit_cast<uint32_t>(expect[i]))
+        << "at flat index " << i << ": " << actual[i] << " vs " << expect[i];
+  }
 }
 
 void ExpectTensorsNear(const Tensor& a, const Tensor& b, float tol) {
@@ -171,6 +188,120 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::tuple{1, 1, 1}, std::tuple{2, 3, 4},
                       std::tuple{5, 1, 7}, std::tuple{8, 8, 8},
                       std::tuple{3, 17, 5}, std::tuple{16, 9, 16}));
+
+// Matmul's register-blocked kernel against the scalar reference, bit for
+// bit. Shapes: tile remainders in m and n, k = 1, n < 8, m < 4, the
+// deployed count classifier's three conv GEMMs ([12x9]x[9x256],
+// [24x108]x[108x64], [24x216]x[216x64]) and bench_table9's 220x220 oracle
+// stand-in. A is ReLU-like (a quarter of it +0 or -0), so signed zeros
+// flow through the products too.
+class MatmulOpsTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {
+ protected:
+  void SetUp() override {
+    auto [m, k, n] = GetParam();
+    Rng rng(m * 10007 + k * 101 + n);
+    a_ = RandomTensor(Shape{m, k}, &rng);
+    for (int64_t i = 0; i < a_.size(); i += 4) {
+      a_[i] = i % 8 == 0 ? 0.0f : -0.0f;
+    }
+    b_ = RandomTensor(Shape{k, n}, &rng);
+    expect_ = NaiveMatmul(a_, b_);
+  }
+
+  Tensor a_;
+  Tensor b_;
+  Tensor expect_;
+};
+
+TEST_P(MatmulOpsTest, MatmulIsBitIdenticalToNaiveReference) {
+  ExpectBitwiseEqual(Matmul(a_, b_), expect_);
+  // Four pool threads split the rows into chunks at arbitrary rows.
+  runtime::ScopedThreads threads(4);
+  ExpectBitwiseEqual(Matmul(a_, b_), expect_);
+}
+
+TEST_P(MatmulOpsTest, EveryKernelBuildIsBitIdenticalToNaiveReference) {
+  std::vector<gemm::RowsKernel> kernels = {gemm::RowsBaseline};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) kernels.push_back(gemm::RowsAvx2);
+#endif
+  const int64_t m = a_.shape().dim(0);
+  const int64_t k = a_.shape().dim(1);
+  const int64_t n = b_.shape().dim(1);
+  for (gemm::RowsKernel kernel : kernels) {
+    // Garbage in C: the kernel overwrites, it never accumulates.
+    Tensor c(Shape{m, n}, 7.5f);
+    kernel(a_.data(), b_.data(), c.data(), k, n, 0, m);
+    ExpectBitwiseEqual(c, expect_);
+    // Rows split off-tile, as a ParallelFor chunk boundary would land.
+    Tensor split(Shape{m, n}, 7.5f);
+    const int64_t mid = m / 2 + 1;
+    kernel(a_.data(), b_.data(), split.data(), k, n, 0, std::min(mid, m));
+    kernel(a_.data(), b_.data(), split.data(), k, n, std::min(mid, m), m);
+    ExpectBitwiseEqual(split, expect_);
+  }
+}
+
+TEST_P(MatmulOpsTest, MatmulIntoOverwritesCallerStorage) {
+  std::vector<float> out(static_cast<size_t>(expect_.size()), -3.0f);
+  MatmulInto(a_, b_, out.data());
+  ExpectBitwiseEqual(Tensor(expect_.shape(), out), expect_);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelShapes, MatmulOpsTest,
+    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{5, 7, 37},
+                      std::tuple{13, 19, 45}, std::tuple{7, 1, 29},
+                      std::tuple{9, 11, 5}, std::tuple{3, 12, 40},
+                      std::tuple{12, 9, 256}, std::tuple{24, 108, 64},
+                      std::tuple{24, 216, 64}, std::tuple{220, 220, 220}));
+
+// Bounds-checked reference im2col: one check per output cell.
+Tensor NaiveIm2Col(const Tensor& img, int kh, int kw, int stride, int pad,
+                   int out_h, int out_w) {
+  const int64_t channels = img.shape().dim(0);
+  const int64_t height = img.shape().dim(1);
+  const int64_t width = img.shape().dim(2);
+  Tensor cols(Shape{channels * kh * kw, static_cast<int64_t>(out_h) * out_w});
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int ky = 0; ky < kh; ++ky) {
+      for (int kx = 0; kx < kw; ++kx) {
+        for (int oy = 0; oy < out_h; ++oy) {
+          for (int ox = 0; ox < out_w; ++ox) {
+            const int64_t iy = oy * stride + ky - pad;
+            const int64_t ix = ox * stride + kx - pad;
+            if (iy < 0 || iy >= height || ix < 0 || ix >= width) continue;
+            cols.At2((c * kh + ky) * kw + kx, oy * out_w + ox) =
+                img.At3(c, iy, ix);
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+TEST(Im2ColTest, MatchesBoundsCheckedReference) {
+  Rng rng(44);
+  Tensor img = RandomTensor(Shape{3, 7, 10}, &rng);
+  // (kernel, stride, pad): the classifier's 3x3 pad-1 convs at strides 1
+  // and 2, plus kernels wider than the padded image edge and pad > kernel.
+  const int configs[][3] = {{3, 1, 1}, {3, 2, 1}, {1, 1, 0}, {2, 2, 0},
+                            {5, 3, 2}, {3, 2, 4}, {7, 1, 0}, {4, 3, 3}};
+  for (const auto& config : configs) {
+    const int kernel = config[0];
+    const int stride = config[1];
+    const int pad = config[2];
+    const int out_h = ConvOutDim(7, kernel, stride, pad);
+    const int out_w = ConvOutDim(10, kernel, stride, pad);
+    SCOPED_TRACE(testing::Message() << "kernel " << kernel << " stride "
+                                    << stride << " pad " << pad);
+    ExpectBitwiseEqual(Im2Col(img, kernel, kernel, stride, pad, out_h, out_w),
+                       NaiveIm2Col(img, kernel, kernel, stride, pad, out_h,
+                                   out_w));
+  }
+}
 
 TEST(Im2ColTest, OutDimFormula) {
   EXPECT_EQ(ConvOutDim(32, 3, 2, 1), 16);
