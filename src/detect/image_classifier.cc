@@ -97,10 +97,6 @@ Result<std::vector<double>> ImageClassifier::Train(
   return epoch_losses;
 }
 
-Tensor ImageClassifier::ForwardBatch(const Tensor& batch) const {
-  return net_.Forward(batch);
-}
-
 std::vector<float> ImageClassifier::PredictProba(const Tensor& frame) const {
   Tensor batch = vae::StackFrames({frame});
   Tensor probs = nn::Softmax(net_.Forward(batch));

@@ -66,9 +66,6 @@ class ImageClassifier : public nn::ProbabilisticClassifier {
   std::vector<float> PredictProbaMcDropout(const tensor::Tensor& frame,
                                            int passes);
 
-  /// Batched logits for evaluation ([N, K]).
-  tensor::Tensor ForwardBatch(const tensor::Tensor& batch) const;
-
   /// Fraction of frames whose argmax prediction matches the label.
   double Accuracy(const std::vector<tensor::Tensor>& frames,
                   const std::vector<int>& labels) const;

@@ -11,12 +11,4 @@ void HeInit(tensor::Tensor* weights, int fan_in, stats::Rng* rng) {
   }
 }
 
-void XavierInit(tensor::Tensor* weights, int fan_in, int fan_out,
-                stats::Rng* rng) {
-  double limit = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-  for (int64_t i = 0; i < weights->size(); ++i) {
-    (*weights)[i] = static_cast<float>((rng->NextDouble() * 2.0 - 1.0) * limit);
-  }
-}
-
 }  // namespace vdrift::nn

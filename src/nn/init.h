@@ -7,14 +7,8 @@
 namespace vdrift::nn {
 
 /// He (Kaiming) normal initialization: N(0, sqrt(2 / fan_in)). Suited to
-/// ReLU networks; used for the conv and classifier stacks.
+/// ReLU networks; every Linear and Conv2d layer starts from it.
 void HeInit(tensor::Tensor* weights, int fan_in, stats::Rng* rng);
-
-/// Xavier (Glorot) uniform initialization over
-/// [-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]. Used for the
-/// sigmoid-terminated VAE decoder.
-void XavierInit(tensor::Tensor* weights, int fan_in, int fan_out,
-                stats::Rng* rng);
 
 }  // namespace vdrift::nn
 

@@ -81,21 +81,4 @@ LossResult BinaryCrossEntropy(const Tensor& probs, const Tensor& targets) {
   return result;
 }
 
-LossResult MeanSquaredError(const Tensor& pred, const Tensor& target) {
-  // vdrift-lint: allow(no-data-dependent-check): layer shape contract
-  VDRIFT_CHECK(pred.shape() == target.shape());
-  LossResult result;
-  result.grad = Tensor(pred.shape());
-  double loss = 0.0;
-  int64_t count = pred.size();
-  float scale = 2.0f / static_cast<float>(count);
-  for (int64_t i = 0; i < count; ++i) {
-    float d = pred[i] - target[i];
-    loss += static_cast<double>(d) * d;
-    result.grad[i] = scale * d;
-  }
-  result.loss = loss / static_cast<double>(count);
-  return result;
-}
-
 }  // namespace vdrift::nn

@@ -30,10 +30,6 @@ tensor::Tensor Softmax(const tensor::Tensor& logits);
 LossResult BinaryCrossEntropy(const tensor::Tensor& probs,
                               const tensor::Tensor& targets);
 
-/// Mean squared error, averaged over all elements.
-LossResult MeanSquaredError(const tensor::Tensor& pred,
-                            const tensor::Tensor& target);
-
 }  // namespace vdrift::nn
 
 #endif  // VDRIFT_NN_LOSS_H_

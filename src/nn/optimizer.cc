@@ -4,29 +4,9 @@
 
 namespace vdrift::nn {
 
-Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    velocity_.emplace_back(p->value.shape());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Parameter* p = params_[i];
-    const tensor::Tensor& grad = p->MutableGrad();
-    tensor::Tensor& vel = velocity_[i];
-    for (int64_t j = 0; j < p->value.size(); ++j) {
-      vel[j] = momentum_ * vel[j] - lr_ * grad[j];
-      p->value[j] += vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

@@ -8,46 +8,23 @@
 
 namespace vdrift::nn {
 
-/// \brief Base class for first-order optimizers over a parameter list.
-class Optimizer {
+/// \brief Adam (Kingma & Ba) over a parameter list. The paper trains both
+/// the VAE and the classifier models with Adam (§6).
+class Adam {
  public:
-  explicit Optimizer(std::vector<Parameter*> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  explicit Adam(std::vector<Parameter*> params, float lr = 1e-3f,
+                float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
 
   /// Applies one update from the accumulated gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Zeroes every parameter's gradient accumulator.
   void ZeroGrad() {
     for (Parameter* p : params_) p->ZeroGrad();
   }
 
- protected:
+ private:
   std::vector<Parameter*> params_;
-};
-
-/// \brief Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, float lr, float momentum = 0.0f);
-  void Step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<tensor::Tensor> velocity_;
-};
-
-/// \brief Adam (Kingma & Ba). The paper trains both the VAE and the
-/// classifier models with Adam (§6).
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, float lr = 1e-3f, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-  void Step() override;
-
- private:
   float lr_;
   float beta1_;
   float beta2_;

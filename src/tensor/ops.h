@@ -5,33 +5,21 @@
 
 namespace vdrift::tensor {
 
-/// c = a + b (elementwise; shapes must match).
-Tensor Add(const Tensor& a, const Tensor& b);
-/// c = a - b (elementwise; shapes must match).
-Tensor Sub(const Tensor& a, const Tensor& b);
 /// c = a * b (elementwise; shapes must match).
 Tensor Mul(const Tensor& a, const Tensor& b);
-/// c = a * s (scalar).
-Tensor Scale(const Tensor& a, float s);
 /// a += b in place (shapes must match).
 void AddInPlace(Tensor* a, const Tensor& b);
-/// a += b * s in place (axpy; shapes must match).
-void AxpyInPlace(Tensor* a, const Tensor& b, float s);
 
 /// Matrix product of a [m, k] tensor with a [k, n] tensor -> [m, n].
 /// Runs the register-blocked kernel of tensor/gemm.h (AVX2 when the CPU
-/// has it); bit-identical to the scalar i-k-j loop on every build.
+/// has it); bit-identical to the scalar i-k-j loop on every build. It is
+/// the one GEMM: a product with a transposed operand transposes it first
+/// (Transpose2D), which keeps every element's k-ordered sequence.
 Tensor Matmul(const Tensor& a, const Tensor& b);
 
 /// Matmul into caller-owned storage: overwrites the m * n row-major floats
 /// at `out` with a [m, k] x b [k, n].
 void MatmulInto(const Tensor& a, const Tensor& b, float* out);
-
-/// Matrix product with B transposed: a [m, k] x b [n, k] -> [m, n].
-Tensor MatmulTransposedB(const Tensor& a, const Tensor& b);
-
-/// Matrix product with A transposed: a [k, m] x b [k, n] -> [m, n].
-Tensor MatmulTransposedA(const Tensor& a, const Tensor& b);
 
 /// Transpose of a 2-D tensor.
 Tensor Transpose2D(const Tensor& a);

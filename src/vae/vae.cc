@@ -99,7 +99,7 @@ Vae::ForwardResult Vae::Forward(const Tensor& batch, stats::Rng* rng,
   return result;
 }
 
-Vae::Losses Vae::TrainStep(const Tensor& batch, nn::Optimizer* optimizer,
+Vae::Losses Vae::TrainStep(const Tensor& batch, nn::Adam* optimizer,
                            stats::Rng* rng) {
   int64_t n = batch.shape().dim(0);
   optimizer->ZeroGrad();

@@ -101,7 +101,7 @@ class Vae {
 
   /// One optimization step on a batch: forward, BCE + KL backward, update.
   /// `optimizer` must have been constructed over this model's Params().
-  Losses TrainStep(const tensor::Tensor& batch, nn::Optimizer* optimizer,
+  Losses TrainStep(const tensor::Tensor& batch, nn::Adam* optimizer,
                    stats::Rng* rng);
 
   /// Evaluates the loss on a batch without updating parameters.

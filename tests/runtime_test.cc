@@ -165,66 +165,80 @@ TEST(ParallelReduceTest, MatchesSerialFoldBitForBit) {
   }
 }
 
-TEST(DeterminismTest, MatmulBitIdenticalAcrossThreadCounts) {
-  Rng rng(22);
-  Tensor a = RandomTensor(Shape{37, 29}, &rng);
-  Tensor b = RandomTensor(Shape{29, 41}, &rng);
-  Tensor at = tensor::Transpose2D(a);
-  Tensor bt = tensor::Transpose2D(b);
-  ScopedThreads serial_scope(1);
-  Tensor serial = tensor::Matmul(a, b);
-  Tensor serial_ta = tensor::MatmulTransposedA(at, b);
-  Tensor serial_tb = tensor::MatmulTransposedB(a, bt);
-  Tensor serial_sum_src = RandomTensor(Shape{100000}, &rng);
-  double serial_sum = tensor::Sum(serial_sum_src);
-  for (int threads : {2, 4, 8}) {
-    ScopedThreads scope(threads);
-    EXPECT_TRUE(BitIdentical(tensor::Matmul(a, b), serial))
-        << "threads=" << threads;
-    EXPECT_TRUE(BitIdentical(tensor::MatmulTransposedA(at, b), serial_ta))
-        << "threads=" << threads;
-    EXPECT_TRUE(BitIdentical(tensor::MatmulTransposedB(a, bt), serial_tb))
-        << "threads=" << threads;
-    double parallel_sum = tensor::Sum(serial_sum_src);
-    EXPECT_EQ(std::memcmp(&serial_sum, &parallel_sum, sizeof(double)), 0)
-        << "threads=" << threads;
-  }
-}
-
-struct ConvRun {
+// One forward and backward pass of a layer at a given thread count.
+struct LayerRun {
   Tensor forward;
   Tensor grad_input;
   Tensor weight_grad;
   Tensor bias_grad;
 };
 
-ConvRun RunConv(int threads) {
+LayerRun RunLayer(nn::Layer* layer, const Tensor& input, int threads) {
   ScopedThreads scope(threads);
-  Rng rng(23);
-  nn::Conv2d conv(3, 8, 3, 2, 1, &rng);
-  Tensor input = RandomTensor(Shape{4, 3, 16, 16}, &rng);
-  ConvRun run;
+  for (nn::Parameter* p : layer->Params()) p->ZeroGrad();
+  LayerRun run;
   nn::Tape tape;
-  run.forward = conv.Forward(input, &tape);
+  run.forward = layer->Forward(input, &tape);
   Tensor grad_out(run.forward.shape(), 0.5f);
-  run.grad_input = conv.Backward(grad_out, tape);
-  run.weight_grad = conv.Params()[0]->grad;
-  run.bias_grad = conv.Params()[1]->grad;
+  run.grad_input = layer->Backward(grad_out, tape);
+  run.weight_grad = layer->Params()[0]->grad;
+  run.bias_grad = layer->Params()[1]->grad;
   return run;
 }
 
+void ExpectSameRun(const LayerRun& parallel, const LayerRun& serial,
+                   int threads) {
+  EXPECT_TRUE(BitIdentical(parallel.forward, serial.forward))
+      << "threads=" << threads;
+  EXPECT_TRUE(BitIdentical(parallel.grad_input, serial.grad_input))
+      << "threads=" << threads;
+  EXPECT_TRUE(BitIdentical(parallel.weight_grad, serial.weight_grad))
+      << "threads=" << threads;
+  EXPECT_TRUE(BitIdentical(parallel.bias_grad, serial.bias_grad))
+      << "threads=" << threads;
+}
+
+// Every product runs through tensor::Matmul, with Transpose2D for a
+// transposed operand: the Linear forward and backward (shapes large
+// enough that each of their GEMMs splits into row chunks) and the Conv2d
+// backward.
+TEST(DeterminismTest, MatmulBitIdenticalAcrossThreadCounts) {
+  Rng rng(22);
+  Tensor a = RandomTensor(Shape{37, 29}, &rng);
+  Tensor b = RandomTensor(Shape{29, 41}, &rng);
+  nn::Linear linear(300, 70, &rng);
+  Tensor linear_in = RandomTensor(Shape{37, 300}, &rng);
+  nn::Conv2d conv(3, 8, 3, 2, 1, &rng);
+  Tensor conv_in = RandomTensor(Shape{4, 3, 16, 16}, &rng);
+  Tensor sum_src = RandomTensor(Shape{100000}, &rng);
+  LayerRun serial_linear = RunLayer(&linear, linear_in, 1);
+  LayerRun serial_conv = RunLayer(&conv, conv_in, 1);
+  ScopedThreads serial_scope(1);
+  Tensor serial = tensor::Matmul(a, b);
+  Tensor serial_t = tensor::Transpose2D(a);
+  double serial_sum = tensor::Sum(sum_src);
+  for (int threads : {2, 4, 8}) {
+    ScopedThreads scope(threads);
+    EXPECT_TRUE(BitIdentical(tensor::Matmul(a, b), serial))
+        << "threads=" << threads;
+    EXPECT_TRUE(BitIdentical(tensor::Transpose2D(a), serial_t))
+        << "threads=" << threads;
+    ExpectSameRun(RunLayer(&linear, linear_in, threads), serial_linear,
+                  threads);
+    ExpectSameRun(RunLayer(&conv, conv_in, threads), serial_conv, threads);
+    double parallel_sum = tensor::Sum(sum_src);
+    EXPECT_EQ(std::memcmp(&serial_sum, &parallel_sum, sizeof(double)), 0)
+        << "threads=" << threads;
+  }
+}
+
 TEST(DeterminismTest, Conv2dForwardBackwardBitIdentical) {
-  ConvRun serial = RunConv(1);
+  Rng rng(23);
+  nn::Conv2d conv(3, 8, 3, 2, 1, &rng);
+  Tensor input = RandomTensor(Shape{4, 3, 16, 16}, &rng);
+  LayerRun serial = RunLayer(&conv, input, 1);
   for (int threads : {2, 4}) {
-    ConvRun parallel = RunConv(threads);
-    EXPECT_TRUE(BitIdentical(parallel.forward, serial.forward))
-        << "threads=" << threads;
-    EXPECT_TRUE(BitIdentical(parallel.grad_input, serial.grad_input))
-        << "threads=" << threads;
-    EXPECT_TRUE(BitIdentical(parallel.weight_grad, serial.weight_grad))
-        << "threads=" << threads;
-    EXPECT_TRUE(BitIdentical(parallel.bias_grad, serial.bias_grad))
-        << "threads=" << threads;
+    ExpectSameRun(RunLayer(&conv, input, threads), serial, threads);
   }
 }
 

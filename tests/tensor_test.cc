@@ -122,24 +122,9 @@ TEST(TensorDeathTest, DataSizeMismatchAborts) {
 TEST(OpsTest, AddSubMul) {
   Tensor a(Shape{3}, std::vector<float>{1.0f, 2.0f, 3.0f});
   Tensor b(Shape{3}, std::vector<float>{4.0f, 5.0f, 6.0f});
-  Tensor sum = Add(a, b);
-  Tensor diff = Sub(b, a);
   Tensor prod = Mul(a, b);
-  EXPECT_EQ(sum[0], 5.0f);
-  EXPECT_EQ(sum[2], 9.0f);
-  EXPECT_EQ(diff[1], 3.0f);
+  EXPECT_EQ(prod[0], 4.0f);
   EXPECT_EQ(prod[2], 18.0f);
-}
-
-TEST(OpsTest, ScaleAndAxpy) {
-  Tensor a(Shape{2}, std::vector<float>{1.0f, -2.0f});
-  Tensor s = Scale(a, 3.0f);
-  EXPECT_EQ(s[0], 3.0f);
-  EXPECT_EQ(s[1], -6.0f);
-  Tensor b(Shape{2}, std::vector<float>{10.0f, 10.0f});
-  AxpyInPlace(&b, a, 2.0f);
-  EXPECT_EQ(b[0], 12.0f);
-  EXPECT_EQ(b[1], 6.0f);
 }
 
 TEST(OpsTest, SumAndMean) {
@@ -166,10 +151,20 @@ TEST(OpsTest, Transpose2D) {
   EXPECT_EQ(t.shape(), (Shape{3, 2}));
   EXPECT_EQ(t.At2(0, 1), 4.0f);
   EXPECT_EQ(t.At2(2, 0), 3.0f);
+  // Row counts that fill four-row strips, leave remainders, or have none.
+  Rng rng(81);
+  for (int64_t m : {1, 4, 9}) {
+    Tensor b = RandomTensor(Shape{m, 7}, &rng);
+    Tensor bt = Transpose2D(b);
+    ASSERT_EQ(bt.shape(), (Shape{7, m}));
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < 7; ++j) EXPECT_EQ(bt.At2(j, i), b.At2(i, j));
+    }
+  }
 }
 
-// Property sweep: all matmul variants agree with the naive reference over
-// random shapes.
+// Property sweep: Matmul agrees with the naive reference over random
+// shapes.
 class MatmulProperty : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(MatmulProperty, MatchesNaiveReference) {
@@ -179,8 +174,6 @@ TEST_P(MatmulProperty, MatchesNaiveReference) {
   Tensor b = RandomTensor(Shape{k, n}, &rng);
   Tensor expect = NaiveMatmul(a, b);
   ExpectTensorsNear(Matmul(a, b), expect, 1e-4f);
-  ExpectTensorsNear(MatmulTransposedB(a, Transpose2D(b)), expect, 1e-4f);
-  ExpectTensorsNear(MatmulTransposedA(Transpose2D(a), b), expect, 1e-4f);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -377,7 +370,7 @@ TEST(OpsTest, MatmulAttributesFlopsAndBytes) {
             bytes + 188);
 }
 
-// The GEMM kernels must do (and attribute) the full 2mkn FLOPs whatever
+// The GEMM kernel must do (and attribute) the full 2mkn FLOPs whatever
 // the data holds: a zero-padded A used to take a data-dependent skip
 // while VDRIFT_OP_PROBE still charged the full product, making FLOP
 // attribution wrong and benchmark numbers input-dependent.
@@ -399,17 +392,29 @@ TEST(OpsTest, ZeroPaddedInputAttributesFullFlops) {
     EXPECT_EQ(c.At2(0, j), 0.0f);
     EXPECT_NE(c.At2(2, j), 0.0f);
   }
-  int64_t ta_flops =
-      global.GetCounter("vdrift.ops.tensor.matmul_transposed_a.flops")
-          .value();
-  Tensor at(Shape{8, 6});  // A^T, same zero pattern
-  for (int64_t k = 0; k < 8; ++k) at.At2(k, 2) = 1.0f;
-  Tensor c2 = MatmulTransposedA(at, b);
-  EXPECT_EQ(
-      global.GetCounter("vdrift.ops.tensor.matmul_transposed_a.flops")
-          .value(),
-      ta_flops + 2 * 6 * 8 * 5);
-  ExpectTensorsNear(c2, c, 0.0f);
+}
+
+// Transpose2D is pure data movement: no FLOPs, and the m * n floats read
+// once and written once.
+TEST(OpsTest, Transpose2DAttributesZeroFlops) {
+  obs::MetricsRegistry& global = obs::Global();
+  int64_t calls =
+      global.GetCounter("vdrift.ops.tensor.transpose.calls").value();
+  int64_t flops =
+      global.GetCounter("vdrift.ops.tensor.transpose.flops").value();
+  int64_t bytes =
+      global.GetCounter("vdrift.ops.tensor.transpose.bytes").value();
+  Rng rng(80);
+  Tensor a = RandomTensor(Shape{3, 7}, &rng);
+  Tensor t = Transpose2D(a);
+  EXPECT_EQ(t.shape(), (Shape{7, 3}));
+  EXPECT_EQ(global.GetCounter("vdrift.ops.tensor.transpose.calls").value(),
+            calls + 1);
+  EXPECT_EQ(global.GetCounter("vdrift.ops.tensor.transpose.flops").value(),
+            flops);
+  // 2 * m * n * sizeof(float) = 2 * 21 * 4.
+  EXPECT_EQ(global.GetCounter("vdrift.ops.tensor.transpose.bytes").value(),
+            bytes + 168);
 }
 
 TEST(Im2ColTest, Im2ColAttributesZeroFlops) {
